@@ -3,8 +3,8 @@
 Pipeline: simulate (or record) raw ADC frames -> windowed FFTs build a
 (range, azimuth, elevation, doppler) magnitude cube -> relative-intensity
 threshold -> Doppler collapse into a per-voxel radial velocity cube ->
-per-LiDAR-point context-window lookup + optical flow -> closed-form 3D
-velocity per point -> object-wise metrics.
+context-window table over all voxels, read at every LiDAR point + optical
+flow -> closed-form 3D velocity per point -> object-wise metrics.
 """
 from .cube import (
     AdcCube,
@@ -20,9 +20,10 @@ from .fusion import (
     DEFAULT_COND_BOUND,
     DegenerateGeometryError,
     estimate_frame,
-    lookup_flow,
-    project_to_pixel,
+    project_points,
+    read_flow,
     solve_full_velocity,
+    solve_velocities,
 )
 from .io import (
     FormatError,
@@ -73,6 +74,7 @@ from .velcube import (
     collapse_doppler,
     query_radial_velocity,
     window_coverage,
+    window_table,
 )
 
 __version__ = "0.1.0"

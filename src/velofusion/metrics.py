@@ -14,14 +14,94 @@ ANGLE_EPS = 1e-6          # m/s; pairs with a smaller norm carry no direction
 ASSOCIATION_GATE = 0.5    # m, max centroid jump between consecutive frames
 
 
+# Neighbors are looked up in a grid whose cells are a hair wider than eps
+# (relative margin, plus a few ulps of the cloud's span), so rounding of the
+# cell coordinates cannot split a pair at exactly eps across two cells that
+# are not adjacent.
+_CELL_MARGIN = 1e-9
+_NEIGHBOR_OFFSETS = np.indices((3, 3, 3)).reshape(3, -1).T - 1  # (27, 3), each in {-1, 0, 1}
+
+
+def _grid_cells(pts: np.ndarray, cell: float) -> tuple[np.ndarray, list[int]]:
+    """Integer key of every point's grid cell, with keys of adjacent cells
+    differing by a neighbor offset's key.
+
+    Per axis, occupied cell coordinates are renumbered so gaps wider than one
+    empty cell shrink to exactly one: adjacency is kept and the key space
+    stays within (2N + 1)^3, which fits int64 up to a million points.
+    """
+    coords = np.floor((pts - pts.min(axis=0)) / cell)
+    dims = []
+    compact = np.empty(coords.shape, dtype=np.int64)
+    for axis in range(3):
+        occupied, inverse = np.unique(coords[:, axis], return_inverse=True)
+        steps = np.minimum(np.diff(occupied), 2).astype(np.int64)
+        compact[:, axis] = np.concatenate([[1], 1 + np.cumsum(steps)])[inverse]
+        dims.append(int(compact[:, axis].max()) + 2)
+    return (compact[:, 0] * dims[1] + compact[:, 1]) * dims[2] + compact[:, 2], dims
+
+
+def _neighbor_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ordered pair (i, j) with distance <= eps, the point itself
+    included, and the pair's distance."""
+    span = float(np.ptp(pts, axis=0).max())
+    keys, dims = _grid_cells(pts, eps * (1 + _CELL_MARGIN) + 16 * np.finfo(float).eps * span)
+    order = np.argsort(keys, kind="stable")
+    cell_keys, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    offset_keys = (_NEIGHBOR_OFFSETS[:, 0] * dims[1] + _NEIGHBOR_OFFSETS[:, 1]) * dims[2] \
+        + _NEIGHBOR_OFFSETS[:, 2]
+    coords = [np.ascontiguousarray(c) for c in pts.T]
+    firsts, seconds, dists = [], [], []
+    for offset in offset_keys:
+        slot = np.minimum(np.searchsorted(cell_keys, keys + offset), len(cell_keys) - 1)
+        hit = np.flatnonzero(cell_keys[slot] == keys + offset)
+        n = counts[slot[hit]]
+        i = np.repeat(hit, n)
+        step = np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
+        j = order[np.repeat(starts[slot[hit]], n) + step]
+        # Squared differences summed in x, y, z order, as np.sum over the
+        # coordinate axis of pts[i] - pts[j] would.
+        dist2 = np.zeros(len(i))
+        for c in coords:
+            d = c[i] - c[j]
+            dist2 += d * d
+        dist = np.sqrt(dist2)
+        near = dist <= eps
+        firsts.append(i[near])
+        seconds.append(j[near])
+        dists.append(dist[near])
+    return np.concatenate(firsts), np.concatenate(seconds), np.concatenate(dists)
+
+
+def _min_label_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest node index of every node's connected component, for edges
+    given in both directions: min-label hooking plus pointer jumping."""
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not differ.any():
+            return label
+        a, b = a[differ], b[differ]
+        np.minimum.at(label, la[differ], lb[differ])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 def cluster_points(points: np.ndarray, eps: float, min_points: int) -> np.ndarray:
-    """Density-based Euclidean clustering (DBSCAN-style), labels (N,) int.
+    """Density-based Euclidean clustering (DBSCAN), labels (N,) int.
 
     Core points have >= min_points neighbors within eps (the point itself
     counts); clusters are the connected components of the core points, border
-    points join the cluster of their nearest core neighbor, everything else
-    is noise (-1). Labels are numbered by first point appearance, and
-    membership does not depend on point order.
+    points join the cluster of their nearest core neighbor (the lowest index
+    on a tie), everything else is noise (-1), as are points with a non-finite
+    coordinate. Labels are numbered by first point appearance; apart from
+    border points equidistant from two clusters' cores, membership does not
+    depend on point order. Neighbors come from a grid hash, so memory grows
+    with the number of neighbor pairs, not with N^2.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -32,42 +112,34 @@ def cluster_points(points: np.ndarray, eps: float, min_points: int) -> np.ndarra
     if n == 0:
         return np.zeros(0, dtype=np.int64)
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    within = dist <= eps
-    core = within.sum(axis=1) >= min_points
-
-    # Union-find over core-core adjacencies.
-    parent = np.arange(n)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    core_idx = np.flatnonzero(core)
-    for a in core_idx:
-        for b in np.flatnonzero(within[a] & core):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
+    finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
+    if len(finite) == 0:
+        return np.full(n, -1, dtype=np.int64)
+    i, j, dist = _neighbor_pairs(pts[finite], eps)
+    if len(finite) < n:
+        i, j = finite[i], finite[j]
+    core = np.bincount(i, minlength=n) >= min_points
     labels = np.full(n, -1, dtype=np.int64)
-    for a in core_idx:
-        labels[a] = find(a)
-    # Border points: non-core with a core neighbor; nearest core wins.
-    for a in np.flatnonzero(~core):
-        cands = np.flatnonzero(within[a] & core)
-        if len(cands):
-            labels[a] = find(cands[np.argmin(dist[a, cands])])
+    both = core[i] & core[j]
+    root = _min_label_components(n, i[both], j[both])
+    labels[core] = root[core]
+    # Border points: the nearest core neighbor, lowest index on a tie.
+    border = ~core[i] & core[j]
+    bi, bj = i[border], j[border]
+    pick = np.lexsort((bj, dist[border], bi))
+    bi, bj = bi[pick], bj[pick]
+    first = np.ones(len(bi), dtype=bool)
+    first[1:] = bi[1:] != bi[:-1]
+    labels[bi[first]] = root[bj[first]]
 
     # Renumber by first appearance.
     out = np.full(n, -1, dtype=np.int64)
-    mapping: dict[int, int] = {}
-    for i in range(n):
-        if labels[i] >= 0:
-            out[i] = mapping.setdefault(labels[i], len(mapping))
+    members = np.flatnonzero(labels >= 0)
+    roots, first_seen, inverse = np.unique(labels[members], return_index=True,
+                                           return_inverse=True)
+    rank = np.empty(len(roots), dtype=np.int64)
+    rank[np.argsort(first_seen)] = np.arange(len(roots))
+    out[members] = rank[inverse]
     return out
 
 

@@ -192,7 +192,7 @@ def synth_flow(scene: SceneConfig, frame_index: int, camera: CameraModel) -> Flo
 
     flow = np.zeros((camera.height, camera.width, 2), dtype=np.float32)
     covered = np.zeros((camera.height, camera.width), dtype=bool)
-    zbuf = np.full((camera.height, camera.width), np.inf)
+    zbuf: dict[tuple[int, int], float] = {}  # nearest depth per splatted pixel
 
     u0, v0, z0 = project_points(cloud.positions, camera)
     u1, v1, z1 = project_points(later, camera)
@@ -205,7 +205,7 @@ def synth_flow(scene: SceneConfig, frame_index: int, camera: CameraModel) -> Flo
         row = int(np.floor(v0[i] + 0.5))
         if not (0 <= col < camera.width and 0 <= row < camera.height):
             continue
-        if z0[i] < zbuf[row, col]:
+        if z0[i] < zbuf.get((row, col), np.inf):
             zbuf[row, col] = z0[i]
             flow[row, col, 0] = u1[i] - u0[i]
             flow[row, col, 1] = v1[i] - v0[i]

@@ -117,7 +117,8 @@ class FlowField:
             )
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if np.any(self.flow[~self.covered] != 0):
+        # Counted in place: no full-image temporaries for a sparse field.
+        if np.count_nonzero(self.flow) != np.count_nonzero(self.flow[self.covered]):
             raise ValueError("uncovered pixels must carry zero flow")
 
 

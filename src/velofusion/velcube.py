@@ -72,77 +72,107 @@ def collapse_doppler(cube: RadarCube, cfg: RadarConfig) -> VelocityCube:
     return VelocityCube(velocity, valid, cfg)
 
 
-def cartesian_to_polar(point: np.ndarray) -> tuple[float, float, float]:
-    """(x, y, z) in the radar frame -> (range m, azimuth rad, elevation rad).
+def cartesian_to_polar(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(..., 3) radar-frame points -> (range m, azimuth rad, elevation rad).
 
     x points forward, y left, z up; azimuth = atan2(y, x), elevation is the
-    angle above the xy plane.
+    angle above the xy plane. Each output has the input's leading shape, so
+    one point gives three scalars.
     """
-    x, y, z = np.asarray(point, dtype=np.float64)
-    rng = float(np.sqrt(x * x + y * y + z * z))
-    if rng == 0.0:
+    pts = np.asarray(points, dtype=np.float64)
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    rng = np.sqrt(x * x + y * y + z * z)
+    if np.any(rng == 0.0):
         raise ValueError("zero-range point has no direction")
-    az = float(np.arctan2(y, x))
-    el = float(np.arcsin(np.clip(z / rng, -1.0, 1.0)))
+    az = np.arctan2(y, x)
+    el = np.arcsin(np.clip(z / rng, -1.0, 1.0))
     return rng, az, el
 
 
-def point_bins(point: np.ndarray, cfg: RadarConfig) -> tuple[int, int, int] | None:
-    """Nearest (range, azimuth, elevation) bin of a point, or None if the
-    point lies outside the cube coverage (max range or angular FoV)."""
-    rng, az, el = cartesian_to_polar(point)
-    if rng > cfg.max_range or abs(az) > cfg.azimuth_fov / 2 or abs(el) > cfg.elevation_fov / 2:
-        return None
-    rb = int(np.clip(round(rng / cfg.range_resolution), 0, cfg.n_range_bins - 1))
-    ab = int(np.clip(cfg.n_azimuth_bins // 2 + round(az / cfg.azimuth_bin_width),
-                     0, cfg.n_azimuth_bins - 1))
-    eb = int(np.clip(cfg.n_elevation_bins // 2 + round(el / cfg.elevation_bin_width),
-                     0, cfg.n_elevation_bins - 1))
-    return rb, ab, eb
+def point_bins(points: np.ndarray, cfg: RadarConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest (range, azimuth, elevation) bin of every point.
+
+    Returns (bins, inside): bins is (N, 3) int64, inside is False for points
+    outside the cube coverage (zero range, beyond max range or outside the
+    angular FoV), whose bins read 0.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    bins = np.zeros((len(pts), 3), dtype=np.int64)
+    x, y, z = pts.T
+    idx = np.flatnonzero(x * x + y * y + z * z > 0)
+    rng, az, el = cartesian_to_polar(pts[idx])
+    keep = ((rng <= cfg.max_range) & (np.abs(az) <= cfg.azimuth_fov / 2)
+            & (np.abs(el) <= cfg.elevation_fov / 2))
+    idx, rng, az, el = idx[keep], rng[keep], az[keep], el[keep]
+    bins[idx, 0] = np.clip(np.rint(rng / cfg.range_resolution), 0, cfg.n_range_bins - 1)
+    bins[idx, 1] = np.clip(cfg.n_azimuth_bins // 2 + np.rint(az / cfg.azimuth_bin_width),
+                           0, cfg.n_azimuth_bins - 1)
+    bins[idx, 2] = np.clip(cfg.n_elevation_bins // 2 + np.rint(el / cfg.elevation_bin_width),
+                           0, cfg.n_elevation_bins - 1)
+    inside = np.zeros(len(pts), dtype=bool)
+    inside[idx] = True
+    return bins, inside
 
 
-def _window_slice(center: int, extent: int, count: int) -> slice:
-    # Floor split: an even extent places the extra bin below the center.
-    lo = max(center - extent // 2, 0)
-    hi = min(center + (extent - 1 - extent // 2), count - 1)
-    return slice(lo, hi + 1)
+def _sliding_max(a: np.ndarray, extent: int, axis: int) -> np.ndarray:
+    """Max over a window of extent bins along one axis, clamped at the edges.
+
+    The window of bin c spans [c - extent // 2, c + extent - 1 - extent // 2]:
+    an even extent places the extra bin below the center. Bins beyond the
+    cube read -1. Windows of doubling width are built by pairwise maxima
+    until one more doubling would exceed extent; two of them, overlapping,
+    cover the window.
+    """
+    n = a.shape[axis]
+    pad = [(0, 0)] * a.ndim
+    pad[axis] = (extent // 2, extent - 1 - extent // 2)
+    m = np.moveaxis(np.pad(a, pad, constant_values=-1), axis, 0)
+    width = 1
+    while 2 * width <= extent:  # m[i] = max of the padded bins [i, i + width)
+        m = np.maximum(m[:-width], m[width:])
+        width *= 2
+    return np.moveaxis(np.maximum(m[:n], m[extent - width:extent - width + n]), 0, axis)
+
+
+def window_table(vc: VelocityCube, window: ContextWindow) -> VelocityCube:
+    """The context-window rule evaluated around every voxel at once.
+
+    Voxel (r, a, e) of the result holds the largest-|velocity| valid voxel of
+    the window centered there, |velocity| ties going to the positive sign; it
+    is invalid when the window holds no valid voxel. Window edges are clamped
+    to the cube, never wrapped. Each distinct valid velocity gets a rank in
+    that order (invalid voxels -1), so the rule is a separable sliding max of
+    ranks along range, azimuth and elevation.
+    """
+    values, inverse = np.unique(vc.velocity[vc.valid], return_inverse=True)
+    order = np.lexsort((values > 0, np.abs(values)))
+    rank_of = np.empty(len(values), dtype=np.int64)
+    rank_of[order] = np.arange(len(values))
+    rank = np.full(vc.velocity.shape, -1, dtype=np.int64)
+    rank[vc.valid] = rank_of[inverse]
+    extents = (window.range_extent, window.azimuth_extent, window.elevation_extent)
+    for axis, extent in enumerate(extents):
+        rank = _sliding_max(rank, extent, axis)
+    found = rank >= 0
+    velocity = np.zeros(vc.velocity.shape)
+    velocity[found] = values[order][rank[found]]
+    return VelocityCube(velocity, found, vc.config)
 
 
 def query_radial_velocity(
     vc: VelocityCube, point: np.ndarray, window: ContextWindow
 ) -> tuple[float, bool]:
-    """Largest-|velocity| valid voxel inside the context window around a point.
+    """One point's read of window_table: (velocity, found).
 
-    Returns (velocity, found). found is False when the point lies outside the
-    cube coverage or the window holds no valid voxel. |velocity| ties prefer
-    the positive sign, then the lexicographically first (range, az, el) bin.
-    Window edges are clamped to the cube, never wrapped.
+    found is False when the point lies outside the cube coverage or its
+    window holds no valid voxel.
     """
-    point = np.asarray(point, dtype=np.float64)
-    if float(np.linalg.norm(point)) == 0.0:
+    bins, inside = point_bins(point, vc.config)
+    if not inside[0]:
         return 0.0, False
-    cfg = vc.config
-    bins = point_bins(point, cfg)
-    if bins is None:
-        return 0.0, False
-    rb, ab, eb = bins
-    sl = (
-        _window_slice(rb, window.range_extent, cfg.n_range_bins),
-        _window_slice(ab, window.azimuth_extent, cfg.n_azimuth_bins),
-        _window_slice(eb, window.elevation_extent, cfg.n_elevation_bins),
-    )
-    vel = vc.velocity[sl]
-    valid = vc.valid[sl]
-    if not valid.any():
-        return 0.0, False
-    speed = np.where(valid, np.abs(vel), -1.0)
-    top = speed.max()
-    cand = valid & (speed == top)
-    positive = cand & (vel > 0)
-    if positive.any():
-        cand = positive
-    idx = tuple(np.argwhere(cand)[0])  # argwhere rows come out lexicographically
-    return float(vel[idx]), True
+    table = window_table(vc, window)
+    voxel = tuple(bins[0])
+    return float(table.velocity[voxel]), bool(table.valid[voxel])
 
 
 def window_coverage(cfg: RadarConfig, window: ContextWindow) -> tuple[float, float, float]:

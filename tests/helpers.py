@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from velofusion.cube import RadarConfig
+from velofusion.types import PointStatus
 
 
 def hanning_closed_form(n: int) -> np.ndarray:
@@ -63,6 +64,59 @@ def brute_collapse(mag: np.ndarray, cfg: RadarConfig) -> tuple[np.ndarray, np.nd
     return velocity, valid
 
 
+def brute_point_bins(point: np.ndarray, cfg: RadarConfig) -> tuple[int, int, int] | None:
+    """Nearest (range, az, el) bin of one point, None outside the coverage."""
+    x, y, z = point
+    rng = float(np.sqrt(x * x + y * y + z * z))
+    if rng == 0.0 or rng > cfg.max_range:
+        return None
+    az = float(np.arctan2(y, x))
+    el = float(np.arcsin(np.clip(z / rng, -1.0, 1.0)))
+    if abs(az) > cfg.azimuth_fov / 2 or abs(el) > cfg.elevation_fov / 2:
+        return None
+
+    def clamp(v: int, n: int) -> int:
+        return min(max(v, 0), n - 1)
+
+    return (
+        clamp(round(rng / cfg.range_resolution), cfg.n_range_bins),
+        clamp(cfg.n_azimuth_bins // 2 + round(az / (cfg.azimuth_fov / cfg.n_azimuth_bins)),
+              cfg.n_azimuth_bins),
+        clamp(cfg.n_elevation_bins // 2
+              + round(el / (cfg.elevation_fov / cfg.n_elevation_bins)),
+              cfg.n_elevation_bins),
+    )
+
+
+def brute_window_at(
+    velocity: np.ndarray,
+    valid: np.ndarray,
+    bins: tuple[int, int, int],
+    extents: tuple[int, int, int],
+) -> tuple[float, bool]:
+    """Reference context-window rule around one voxel: clamped window, max
+    |v|, ties to the positive sign then to the first bin in scan order."""
+    rb, ab, eb = bins
+    n_rng, n_az, n_el = velocity.shape
+    ext_az, ext_el, ext_rng = extents
+    best = None
+    def span(center: int, extent: int, count: int) -> range:
+        return range(max(center - extent // 2, 0),
+                     min(center + (extent - 1 - extent // 2), count - 1) + 1)
+
+    for r in span(rb, ext_rng, n_rng):
+        for a in span(ab, ext_az, n_az):
+            for e in span(eb, ext_el, n_el):
+                if not valid[r, a, e]:
+                    continue
+                v = velocity[r, a, e]
+                if best is None or abs(v) > abs(best) or (abs(v) == abs(best) and v > 0 > best):
+                    best = v
+    if best is None:
+        return 0.0, False
+    return float(best), True
+
+
 def brute_window_query(
     velocity: np.ndarray,
     valid: np.ndarray,
@@ -70,27 +124,104 @@ def brute_window_query(
     point: np.ndarray,
     extents: tuple[int, int, int],
 ) -> tuple[float, bool]:
-    """Reference context-window lookup: clamped window, max |v|, ties to the
-    positive sign then to the first (range, az, el) bin in scan order."""
-    x, y, z = point
-    rng = float(np.sqrt(x * x + y * y + z * z))
-    if rng == 0.0 or rng > cfg.max_range:
+    """Reference context-window lookup of one point; (0.0, False) outside
+    the coverage. extents are (azimuth, elevation, range) bins."""
+    bins = brute_point_bins(point, cfg)
+    if bins is None:
         return 0.0, False
-    az = float(np.arctan2(y, x))
-    el = float(np.arcsin(z / rng))
-    if abs(az) > cfg.azimuth_fov / 2 or abs(el) > cfg.elevation_fov / 2:
-        return 0.0, False
+    return brute_window_at(velocity, valid, bins, extents)
 
-    def clamp(v: float, n: int) -> int:
-        return int(min(max(round(v), 0), n - 1))
 
-    rb = clamp(rng / cfg.range_resolution, cfg.n_range_bins)
-    ab = clamp(az / (cfg.azimuth_fov / cfg.n_azimuth_bins) + cfg.n_azimuth_bins // 2,
-               cfg.n_azimuth_bins)
-    eb = clamp(el / (cfg.elevation_fov / cfg.n_elevation_bins) + cfg.n_elevation_bins // 2,
-               cfg.n_elevation_bins)
+def oracle_estimate_frame(cloud, vc, flow, camera, pair, window, cond_bound=1e6):
+    """The per-point estimation loop: (status, velocities) of every point.
 
-    ext_az, ext_el, ext_rng = extents
+    Each point runs the status chain in order (radar coverage, window
+    return, camera pixel with flow, conditioning) and one 3x3 solve.
+    """
+    extents = (window.azimuth_extent, window.elevation_extent, window.range_extent)
+    n = len(cloud)
+    velocities = np.zeros((n, 3))
+    status = np.full(n, PointStatus.OK, dtype=np.uint8)
+    for i in range(n):
+        point = cloud.positions[i]
+        bins = brute_point_bins(point, vc.config)
+        if bins is None:
+            status[i] = PointStatus.OUT_OF_RADAR_FOV
+            continue
+        r_dot, found = brute_window_at(vc.velocity, vc.valid, bins, extents)
+        if not found:
+            status[i] = PointStatus.NO_RADAR_RETURN
+            continue
+        x_c, y_c, depth = (point[None, :] @ camera.rotation.T + camera.translation)[0]
+        if depth <= 0:
+            status[i] = PointStatus.OUT_OF_CAMERA
+            continue
+        u = camera.fx * x_c / depth + camera.cx
+        v = camera.fy * y_c / depth + camera.cy
+        col, row = int(np.floor(u + 0.5)), int(np.floor(v + 0.5))
+        h, w = flow.covered.shape
+        if not (0 <= col < w and 0 <= row < h) or not flow.covered[row, col]:
+            status[i] = PointStatus.OUT_OF_CAMERA
+            continue
+        flow_vec = flow.flow[row, col].astype(np.float64)
+        u_p = (u - flow_vec[0] - camera.cx) / camera.fx
+        v_p = (v - flow_vec[1] - camera.cy) / camera.fy
+        x, y, z = point
+        rng = np.sqrt(x * x + y * y + z * z)
+        q = camera.rotation @ point + camera.translation
+        rot = pair.rotation_a_to_b
+        m = np.array([rot[0] - u_p * rot[2], rot[1] - v_p * rot[2],
+                      camera.rotation @ (point / rng)])
+        cond = np.linalg.cond(m)
+        if not np.isfinite(cond) or cond >= cond_bound:
+            status[i] = PointStatus.DEGENERATE_GEOMETRY
+            continue
+        rhs = np.array([(q[0] - u_p * q[2]) / pair.dt, (q[1] - v_p * q[2]) / pair.dt, r_dot])
+        velocities[i] = camera.rotation.T @ np.linalg.solve(m, rhs)
+    return status, velocities
+
+
+def oracle_cluster_points(points: np.ndarray, eps: float, min_points: int) -> np.ndarray:
+    """DBSCAN labels from the dense N x N distance matrix and union-find.
+
+    Core points have >= min_points neighbors within eps (itself included),
+    clusters are connected components of core points, a border point joins
+    its nearest core neighbor's cluster (lowest index on ties), labels are
+    numbered by first appearance, noise is -1.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = len(pts)
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    within = dist <= eps
+    core = within.sum(axis=1) >= min_points
+    parent = np.arange(n)
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    core_idx = np.flatnonzero(core)
+    for a in core_idx:
+        for b in np.flatnonzero(within[a] & core):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    labels = np.full(n, -1, dtype=np.int64)
+    for a in core_idx:
+        labels[a] = find(a)
+    for a in np.flatnonzero(~core):
+        cands = np.flatnonzero(within[a] & core)
+        if len(cands):
+            labels[a] = find(cands[np.argmin(dist[a, cands])])
+    out = np.full(n, -1, dtype=np.int64)
+    mapping: dict[int, int] = {}
+    for i in range(n):
+        if labels[i] >= 0:
+            out[i] = mapping.setdefault(labels[i], len(mapping))
+    return out
     best = None
     for r in range(max(rb - ext_rng // 2, 0),
                    min(rb + (ext_rng - 1 - ext_rng // 2), cfg.n_range_bins - 1) + 1):

@@ -1,38 +1,46 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from velofusion.cube import RadarConfig, build_radar_cube, threshold_cube
 from velofusion.fusion import (
     DegenerateGeometryError,
     estimate_frame,
-    lookup_flow,
-    project_to_pixel,
+    project_points,
+    read_flow,
     solve_full_velocity,
+    solve_velocities,
 )
 from velofusion.io import default_camera
 from velofusion.sim import Scatterer, SceneConfig, synth_flow, synth_lidar, simulate_adc
 from velofusion.types import CameraModel, FlowField, FramePair, PointCloud, PointStatus
 from velofusion.velcube import ContextWindow, VelocityCube, collapse_doppler, query_radial_velocity
 
-from helpers import random_rotation
+from helpers import oracle_estimate_frame, random_rotation
 
 
 def _identity_camera(fx=500.0):
     return CameraModel(fx=fx, fy=fx, cx=320.0, cy=240.0, width=640, height=480)
 
 
+def _project_one(point, camera):
+    u, v, depth = project_points(np.asarray(point, dtype=np.float64)[None, :], camera)
+    return float(u[0]), float(v[0]), float(depth[0])
+
+
 def test_projection_examples():
     cam = _identity_camera()
-    u, v, z = project_to_pixel(np.array([0.0, 0.0, 2.0]), cam)
+    u, v, z = _project_one([0.0, 0.0, 2.0], cam)
     assert (u, v, z) == (320.0, 240.0, 2.0)
-    u, v, z = project_to_pixel(np.array([0.4, 0.0, 2.0]), cam)
+    u, v, z = _project_one([0.4, 0.0, 2.0], cam)
     assert u == pytest.approx(420.0)
     assert v == pytest.approx(240.0)
 
 
 def test_projection_behind_camera():
     cam = _identity_camera()
-    u, v, z = project_to_pixel(np.array([0.0, 0.0, -1.0]), cam)
+    u, v, z = _project_one([0.0, 0.0, -1.0], cam)
     assert z == -1.0
     assert np.isnan(u) and np.isnan(v)
 
@@ -40,24 +48,40 @@ def test_projection_behind_camera():
 def test_projection_uses_extrinsics():
     cam = default_camera()
     # forward camera: radar +x is the optical axis, +y maps to image left
-    u, v, z = project_to_pixel(np.array([2.0, 0.0, 0.0]), cam)
+    u, v, z = _project_one([2.0, 0.0, 0.0], cam)
     assert (u, v, z) == (320.0, 240.0, 2.0)
-    u, _, _ = project_to_pixel(np.array([2.0, 0.5, 0.0]), cam)
+    u, _, _ = _project_one([2.0, 0.5, 0.0], cam)
     assert u < 320.0
 
 
-def test_lookup_flow():
+def test_read_flow():
     flow = np.zeros((20, 30, 2), dtype=np.float32)
     covered = np.zeros((20, 30), dtype=bool)
     flow[11, 10] = (1.5, -2.0)
     covered[11, 10] = True
     field = FlowField(flow, covered, 0.1)
-    vec, ok = lookup_flow(field, 10.0, 11.0)
-    assert ok and np.allclose(vec, [1.5, -2.0])
-    vec, ok = lookup_flow(field, 10.4, 10.6)  # rounds to pixel (10, 11)
-    assert ok and np.allclose(vec, [1.5, -2.0])
-    assert lookup_flow(field, -3.0, 10.0)[1] is False
-    assert lookup_flow(field, 10.0, 10.0)[1] is False  # uncovered pixel
+    u = np.array([10.0, 10.4, -3.0, 10.0, np.nan, 29.6, 10.0])
+    v = np.array([11.0, 10.6, 10.0, 10.0, 11.0, 11.0, 19.5])
+    vec, ok = read_flow(field, u, v)
+    # (10.4, 10.6) rounds to pixel (10, 11); off the image, uncovered or NaN
+    # pixels are not covered and read zero flow
+    assert list(ok) == [True, True, False, False, False, False, False]
+    assert np.allclose(vec[:2], [[1.5, -2.0], [1.5, -2.0]])
+    assert np.all(vec[2:] == 0)
+    assert vec.dtype == np.float64
+
+
+def test_flow_field_rejects_flow_on_uncovered_pixels():
+    flow = np.zeros((4, 5, 2), dtype=np.float32)
+    covered = np.zeros((4, 5), dtype=bool)
+    flow[1, 2] = (0.5, 0.0)
+    covered[1, 2] = True
+    FlowField(flow, covered, 0.1)
+    for bad in (0.25, -1e-30, np.nan):
+        field = flow.copy()
+        field[3, 4, 1] = bad
+        with pytest.raises(ValueError, match="uncovered"):
+            FlowField(field, covered, 0.1)
 
 
 def test_solve_stationary_point_is_zero():
@@ -261,7 +285,7 @@ def test_estimate_frame_radial_and_flow_consistency():
         # normalized image coordinates
         q_cam = camera.rotation @ p
         vel_cam = camera.rotation @ out.velocities[i]
-        u, v, _ = project_to_pixel(p, camera)
+        u, v, _ = _project_one(p, camera)
         u_p = (u - camera.cx) / camera.fx  # zero flow everywhere
         v_p = (v - camera.cy) / camera.fy
         back = q_cam - pair.dt * vel_cam
@@ -319,3 +343,131 @@ def test_estimate_frame_rate_invariance():
     assert np.linalg.norm(means[0] - means[1]) <= 0.05
     for m in means:
         assert np.linalg.norm(m - [0.3, 0.0, 0.0]) <= 0.08
+
+
+def test_solve_velocities_matches_one_point_solves():
+    rng = np.random.default_rng(59)
+    insts = [inst for inst in (_forward_instance(rng) for _ in range(80)) if inst is not None]
+    p_norm = np.array([inst[0] for inst in insts])
+    q = np.array([inst[1] for inst in insts])
+    r_hat = np.array([inst[2] for inst in insts])
+    r_dot = np.array([inst[3] for inst in insts])
+    pair = FramePair(random_rotation(rng, max_angle=np.radians(10.0)), 0.1)
+    # at p_norm (0, 0) the flow rows are the rotation's first two rows; an
+    # r_hat equal to one of them makes the system singular
+    p_norm[0] = [0.0, 0.0]
+    r_hat[0] = pair.rotation_a_to_b[0]
+    vel, solved = solve_velocities(p_norm, q, r_hat, r_dot, pair)
+    assert not solved[0] and np.all(vel[0] == 0)
+    for k in range(1, len(insts)):
+        try:
+            one = solve_full_velocity(p_norm[k], q[k], r_hat[k], r_dot[k], pair)
+        except DegenerateGeometryError:
+            assert not solved[k] and np.all(vel[k] == 0)
+            continue
+        assert solved[k]
+        np.testing.assert_array_equal(vel[k], one)
+
+
+# --------------------------------------------------------------------------
+# Batched estimate_frame against the per-point oracle loop
+
+# 6.4 m of range over 32 bins, a radar FoV wider than the camera's.
+ORACLE_RADAR = RadarConfig(n_samples=32, n_chirps=8, n_azimuth_bins=8, n_elevation_bins=4,
+                           range_resolution=0.2)
+# The forward camera moved 1 m ahead of the radar: radar-visible points
+# closer than that lie behind it.
+AHEAD_CAMERA = CameraModel(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480,
+                           rotation=default_camera().rotation,
+                           translation=np.array([0.05, -0.02, -1.0]))
+# Turning the camera 90 deg about its y axis between the frames makes the
+# earlier viewing ray of the image's center row perpendicular to the radar
+# line of sight: a singular constraint matrix.
+QUARTER_TURN = FramePair(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]), 0.1)
+
+
+def _oracle_scene(rng, n_points=300, density=0.1, coverage=0.7):
+    cfg = ORACLE_RADAR
+    shape = (cfg.n_range_bins, cfg.n_azimuth_bins, cfg.n_elevation_bins)
+    vel = np.zeros(shape)
+    valid = rng.random(shape) < density
+    vel[valid] = rng.integers(-3, 4, size=int(valid.sum())) * cfg.speed_resolution
+    vc = VelocityCube(vel, valid, cfg)
+    r = rng.uniform(0.05, cfg.max_range * 1.15, n_points)
+    az = rng.uniform(-0.8, 0.8, n_points)
+    el = rng.uniform(-0.5, 0.5, n_points)
+    pts = r[:, None] * np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], 1)
+    pts[:4] = 0.0                                   # zero-norm points
+    pts[4:8] = [[1.5, 0.3, 0.0], [2.5, -0.6, 0.0], [3.5, 0.0, 0.0], [5.0, 1.2, 0.0]]  # center row
+    pts[8:12] = [[-1.0, 0.2, 0.1], [0.3, 0.0, 0.0], [0.5, 0.1, 0.0], [2.0, 0.0, 0.0]]
+    camera = default_camera()
+    flow = rng.normal(0.0, 2.0, (camera.height, camera.width, 2)).astype(np.float32)
+    covered = rng.random((camera.height, camera.width)) < coverage
+    flow[~covered] = 0.0
+    return PointCloud(pts), vc, FlowField(flow, covered, 0.1)
+
+
+def _assert_matches_oracle(cloud, vc, flow, camera, pair, window, cond_bound=1e6):
+    got = estimate_frame(cloud, vc, flow, camera, pair, window, cond_bound)
+    status, velocities = oracle_estimate_frame(cloud, vc, flow, camera, pair, window, cond_bound)
+    np.testing.assert_array_equal(got.status, status)
+    np.testing.assert_array_equal(got.velocities, velocities)
+    return got
+
+
+@pytest.mark.parametrize("window", [
+    ContextWindow(1, 1, 1), ContextWindow(3, 2, 5), ContextWindow(4, 3, 6),
+    ContextWindow(10, 10, 20), ContextWindow(20, 9, 64),  # the last exceeds every axis
+])
+@pytest.mark.parametrize("camera", [default_camera(), AHEAD_CAMERA], ids=["forward", "ahead"])
+def test_estimate_frame_matches_oracle(window, camera):
+    rng = np.random.default_rng(window.range_extent + int(camera.translation[2]))
+    seen = np.zeros(len(PointStatus), dtype=int)
+    for density in (0.02, 0.2):
+        cloud, vc, flow = _oracle_scene(rng, density=density)
+        for pair in (FramePair(), FramePair(random_rotation(rng, 0.2), 0.1)):
+            out = _assert_matches_oracle(cloud, vc, flow, camera, pair, window)
+            seen += np.bincount(out.status, minlength=len(PointStatus))
+    assert seen[PointStatus.OK] and seen[PointStatus.OUT_OF_CAMERA] and \
+        seen[PointStatus.OUT_OF_RADAR_FOV]
+    if window.range_extent < 20:
+        assert seen[PointStatus.NO_RADAR_RETURN]
+
+
+def test_estimate_frame_matches_oracle_behind_camera_and_uncovered():
+    rng = np.random.default_rng(61)
+    cloud, vc, flow = _oracle_scene(rng, density=1.0, coverage=0.5)
+    out = _assert_matches_oracle(cloud, vc, flow, AHEAD_CAMERA, FramePair(), ContextWindow())
+    u, v, depth = project_points(cloud.positions, AHEAD_CAMERA)
+    in_radar = out.status != PointStatus.OUT_OF_RADAR_FOV
+    # both ways of missing the camera occur: behind it, and on an uncovered pixel
+    assert np.any(in_radar & (depth <= 0))
+    assert np.any(in_radar & (depth > 0) & (out.status == PointStatus.OUT_OF_CAMERA))
+
+
+@pytest.mark.parametrize("cond_bound", [1e6, 50.0, 1.0])
+def test_estimate_frame_matches_oracle_degenerate_rotation(cond_bound):
+    rng = np.random.default_rng(67)
+    cloud, vc, flow = _oracle_scene(rng, density=1.0, coverage=1.0)
+    flow = FlowField(np.zeros_like(flow.flow), flow.covered, flow.dt)
+    out = _assert_matches_oracle(cloud, vc, flow, default_camera(), QUARTER_TURN,
+                                 ContextWindow(), cond_bound)
+    degenerate = out.status == PointStatus.DEGENERATE_GEOMETRY
+    assert np.all(degenerate[4:8])  # center row points under the quarter turn
+    if cond_bound == 1.0:
+        assert not np.any(out.status == PointStatus.OK)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(0, 120))
+def test_estimate_frame_permutation_equivariant(seed, n_points):
+    rng = np.random.default_rng(seed)
+    cloud, vc, flow = _oracle_scene(rng, n_points=max(n_points, 12))
+    cloud = PointCloud(cloud.positions[:n_points])
+    camera = default_camera()
+    pair = FramePair(random_rotation(rng, 0.2), 0.1)
+    perm = rng.permutation(n_points)
+    base = estimate_frame(cloud, vc, flow, camera, pair)
+    shuffled = estimate_frame(PointCloud(cloud.positions[perm]), vc, flow, camera, pair)
+    np.testing.assert_array_equal(shuffled.status, base.status[perm])
+    np.testing.assert_array_equal(shuffled.velocities, base.velocities[perm])

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from velofusion.metrics import (
     EvalFrame,
@@ -16,6 +20,8 @@ from velofusion.metrics import (
     evaluate_tracks,
 )
 from velofusion.types import PointStatus
+
+from helpers import oracle_cluster_points
 
 
 def _blob(center, n, rng, sigma=0.05):
@@ -77,6 +83,87 @@ def test_cluster_parameter_validation():
         cluster_points(np.zeros((2, 3)), 0.0, 3)
     with pytest.raises(ValueError):
         cluster_points(np.zeros((2, 3)), 0.5, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 160),
+    layout=st.sampled_from(["uniform", "blobs", "lattice"]),
+    eps=st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0]),
+    min_points=st.integers(1, 8),
+)
+def test_cluster_matches_dense_oracle(seed, n, layout, eps, min_points):
+    rng = np.random.default_rng(seed)
+    if layout == "uniform":
+        pts = rng.uniform(-1.0, 1.0, (n, 3)) * rng.uniform(0.2, 3.0)
+    elif layout == "blobs":
+        centers = rng.uniform(-2.0, 2.0, (4, 3))
+        pts = centers[rng.integers(0, 4, n)] + rng.normal(0.0, eps / 2, (n, 3))
+    else:
+        # points spaced exactly eps apart along the axes: every axis
+        # neighbor sits at distance eps, or a rounding error away from it
+        pts = rng.integers(-3, 4, (n, 3)) * eps + rng.uniform(-50.0, 50.0, 3).round()
+    np.testing.assert_array_equal(cluster_points(pts, eps, min_points),
+                                  oracle_cluster_points(pts, eps, min_points))
+
+
+def test_cluster_lattice_at_exactly_eps():
+    # a chain spaced exactly eps apart (binary-exact values): one cluster when
+    # pairs at distance eps count as neighbors, all noise otherwise
+    pts = np.array([[0.25 * i, 0.0, 0.0] for i in range(12)])
+    for offset in (0.0, 1e6 + 0.125, -7.75):
+        labels = cluster_points(pts + offset, eps=0.25, min_points=3)
+        assert list(labels) == [0] * 12
+        np.testing.assert_array_equal(labels, oracle_cluster_points(pts + offset, 0.25, 3))
+
+
+def test_cluster_border_ties_go_to_lowest_core_index():
+    # border point 4 sits exactly 0.5 from core 0 (cluster A) and core 2
+    # (cluster B); the lower index wins
+    pts = np.array([
+        [-0.5, 0.0, 0.0], [-0.75, 0.0, 0.0], [0.5, 0.0, 0.0], [0.75, 0.0, 0.0],
+        [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+    ])
+    labels = cluster_points(pts, eps=0.5, min_points=4)
+    np.testing.assert_array_equal(labels, oracle_cluster_points(pts, 0.5, 4))
+    assert labels[4] == labels[0] != labels[2]
+
+
+def test_cluster_non_finite_points_are_noise():
+    pts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [np.nan, 0.0, 0.0],
+                    [0.0, 0.1, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0]])
+    labels = cluster_points(pts, eps=0.3, min_points=2)
+    assert list(labels) == [0, 0, -1, 0, -1, -1]
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(labels, oracle_cluster_points(pts, 0.3, 2))
+    assert list(cluster_points(pts[2:3], 0.3, 1)) == [-1]
+
+
+def test_cluster_twenty_thousand_points_without_dense_matrix():
+    # 20 blobs of 1000 jittered lattice points, 5 m apart: the dense 20k x 20k
+    # distance matrix alone would take 3.2 GB. Blobs further apart than eps
+    # cluster independently, so each blob is checked against the dense
+    # oracle on its own.
+    rng = np.random.default_rng(71)
+    eps, min_points = 0.3, 6
+    grid = np.stack(np.meshgrid(*[np.arange(10)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    blobs = [c + 0.18 * grid + rng.normal(0.0, 0.03, grid.shape)
+             for c in 5.0 * rng.permutation(np.stack(np.meshgrid(
+                 np.arange(5), np.arange(4), [0], indexing="ij"), -1).reshape(-1, 3))]
+    pts = np.vstack(blobs)
+    tracemalloc.start()
+    labels = cluster_points(pts, eps, min_points)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 100e6
+    next_label = 0
+    for k, blob in enumerate(blobs):
+        want = oracle_cluster_points(blob, eps, min_points)
+        clustered = want >= 0
+        want[clustered] += next_label
+        next_label = max(next_label, int(want.max()) + 1)
+        np.testing.assert_array_equal(labels[1000 * k:1000 * (k + 1)], want)
 
 
 def test_ave_examples():

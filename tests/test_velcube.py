@@ -10,9 +10,10 @@ from velofusion.velcube import (
     point_bins,
     query_radial_velocity,
     window_coverage,
+    window_table,
 )
 
-from helpers import brute_collapse, brute_window_query
+from helpers import brute_collapse, brute_window_at, brute_window_query
 
 SMALL = RadarConfig(
     n_samples=16,
@@ -105,17 +106,58 @@ def test_cartesian_to_polar_examples():
         cartesian_to_polar(np.zeros(3))
 
 
+def test_cartesian_to_polar_batch_matches_single_points():
+    pts = np.random.default_rng(5).uniform(-3.0, 3.0, size=(40, 3))
+    rng, az, el = cartesian_to_polar(pts)
+    assert rng.shape == az.shape == el.shape == (40,)
+    for k, p in enumerate(pts):
+        assert (rng[k], az[k], el[k]) == cartesian_to_polar(p)
+    with pytest.raises(ValueError):
+        cartesian_to_polar(np.vstack([pts, np.zeros((1, 3))]))
+
+
 def test_point_bins_center_and_borders():
     cfg = RadarConfig()
-    assert point_bins(np.array([3.0016, 0.0, 0.0]), cfg) == (64, 16, 4)
-    # beyond max range
-    assert point_bins(np.array([7.0, 0.0, 0.0]), cfg) is None
-    # outside azimuth fov (45 deg > 32 deg)
-    assert point_bins(np.array([1.0, 1.0, 0.0]), cfg) is None
     # azimuth 22 deg -> bin 27
-    p = 2.0 * np.array([np.cos(np.radians(22)), np.sin(np.radians(22)), 0.0])
-    bins = point_bins(p, cfg)
-    assert bins is not None and bins[1] == 27
+    p22 = 2.0 * np.array([np.cos(np.radians(22)), np.sin(np.radians(22)), 0.0])
+    pts = np.array([
+        [3.0016, 0.0, 0.0],
+        [7.0, 0.0, 0.0],   # beyond max range
+        [1.0, 1.0, 0.0],   # outside azimuth fov (45 deg > 32 deg)
+        [0.0, 0.0, 0.0],   # zero range: no direction
+        p22,
+    ])
+    bins, inside = point_bins(pts, cfg)
+    assert list(inside) == [True, False, False, False, True]
+    assert tuple(bins[0]) == (64, 16, 4)
+    assert bins[4, 1] == 27
+    assert np.all(bins[~inside] == 0)
+    assert bins.dtype == np.int64
+
+
+def _random_cube(rng, cfg, density):
+    vel = np.zeros((cfg.n_range_bins, cfg.n_azimuth_bins, cfg.n_elevation_bins))
+    valid = rng.random(vel.shape) < density
+    # few distinct speeds of both signs, so |v| ties between signs are common
+    vel[valid] = rng.integers(-3, 4, size=int(valid.sum())) * cfg.speed_resolution
+    return VelocityCube(vel, valid, cfg)
+
+
+@pytest.mark.parametrize("extents", [
+    (1, 1, 1), (3, 2, 5), (2, 3, 4), (4, 4, 6), (5, 3, 7),
+    (9, 5, 17),     # as large as or larger than every axis of SMALL
+    (40, 40, 40),   # far larger than the cube
+])
+def test_window_table_matches_brute_force_every_voxel(extents):
+    rng = np.random.default_rng(sum(extents))
+    cfg = SMALL
+    window = ContextWindow(*extents)
+    for density in (0.0, 0.03, 0.3):
+        vc = _random_cube(rng, cfg, density)
+        table = window_table(vc, window)
+        for voxel in np.ndindex(vc.velocity.shape):
+            want = brute_window_at(vc.velocity, vc.valid, voxel, extents)
+            assert (table.velocity[voxel], bool(table.valid[voxel])) == want, voxel
 
 
 def test_query_singleton():
