@@ -45,10 +45,10 @@ from .metrics import (
     avae,
     ave,
     build_tracks,
-    centroid_velocity,
     cluster_points,
     decompose_radial_tangential,
     evaluate_tracks,
+    scored_frames,
 )
 from .sim import (
     Scatterer,

@@ -14,19 +14,19 @@ from .cube import build_radar_cube, threshold_cube
 from .fusion import DEFAULT_COND_BOUND, estimate_frame
 from .io import (
     FrameBundle,
+    load_scene,
     read_frame_sequence,
     read_velocity_sequence,
     write_frame_sequence,
     write_report,
     write_velocity_sequence,
 )
-from .io import load_scene
 from .metrics import (
     EvalFrame,
     build_tracks,
-    centroid_velocity,
     decompose_radial_tangential,
     evaluate_tracks,
+    scored_frames,
 )
 from .sim import ground_truth_velocities, simulate_adc, synth_flow, synth_lidar
 from .types import FramePair
@@ -61,7 +61,7 @@ def cmd_process(args: argparse.Namespace) -> int:
         if bundle.adc is None or bundle.lidar is None or bundle.flow is None:
             continue
         start = time.perf_counter()
-        cube = threshold_cube(build_radar_cube(bundle.adc, radar), args.threshold_db)
+        cube = threshold_cube(build_radar_cube(bundle.adc, radar), radar.threshold_db)
         vc = collapse_doppler(cube, radar)
         pair = FramePair(np.eye(3), bundle.flow.dt)
         est = estimate_frame(bundle.lidar, vc, bundle.flow, camera, pair, window,
@@ -117,32 +117,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _speed_rows(tracks) -> list[dict]:
-    rows = []
-    for track in tracks:
-        for i, tf in enumerate(track.frames):
-            if tf.mean_velocity is None:
-                continue
-            if tf.gt_velocity is not None:
-                truth = tf.gt_velocity
-            elif i + 1 < len(track.frames):
-                truth = centroid_velocity(track, i)
-            else:
-                continue
-            est_rad, est_tan = decompose_radial_tangential(tf.mean_velocity, tf.centroid)
-            gt_rad, gt_tan = decompose_radial_tangential(truth, tf.centroid)
-            rows.append({
-                "track_id": track.track_id,
-                "frame_index": tf.frame_index,
-                "timestamp": tf.timestamp,
-                "speed_est": float(np.linalg.norm(tf.mean_velocity)),
-                "speed_truth": float(np.linalg.norm(truth)),
-                "radial_speed_est": float(np.linalg.norm(est_rad)),
-                "radial_speed_truth": float(np.linalg.norm(gt_rad)),
-                "tangential_speed_est": float(np.linalg.norm(est_tan)),
-                "tangential_speed_truth": float(np.linalg.norm(gt_tan)),
-            })
-    rows.sort(key=lambda r: (r["track_id"], r["frame_index"]))
-    return rows
+    scored, est, truth, centroids = scored_frames(tracks)
+    est_rad, est_tan = decompose_radial_tangential(est, centroids)
+    gt_rad, gt_tan = decompose_radial_tangential(truth, centroids)
+    # one column per chart series, in _SERIES order
+    speeds = np.linalg.norm([est, truth, est_rad, gt_rad, est_tan, gt_tan], axis=-1).T
+    # scored_frames keeps build_tracks' order: rows sorted by (track_id, frame_index)
+    return [dict(track_id=track_id, frame_index=tf.frame_index, timestamp=tf.timestamp,
+                 **dict(zip([key for key, *_ in _SERIES], row.tolist())))
+            for (track_id, tf), row in zip(scored, speeds)]
 
 
 _SERIES = [
@@ -241,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-az", type=int, default=10, help="context window azimuth bins")
     p.add_argument("--window-el", type=int, default=10, help="context window elevation bins")
     p.add_argument("--window-range", type=int, default=20, help="context window range bins")
-    p.add_argument("--threshold-db", type=float, default=5.0,
-                   help="relative intensity cut below the cube peak")
     p.add_argument("--cond-bound", type=float, default=DEFAULT_COND_BOUND,
                    help="condition number above which the solve is degenerate")
     p.set_defaults(func=cmd_process)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import BinaryIO
@@ -134,9 +135,14 @@ def _read_json(path: Path) -> dict:
         raise FormatError(f"{path}: missing") from None
     except json.JSONDecodeError as err:
         raise FormatError(f"{path}: invalid JSON ({err})") from None
+    return _object(obj, str(path))
+
+
+def _object(obj, where: str) -> dict:
+    """A copy of a JSON object; anything else is a FormatError."""
     if not isinstance(obj, dict):
-        raise FormatError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    return obj
+        raise FormatError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    return dict(obj)
 
 
 def _take(obj: dict, where: str, key: str, default=None, required: bool = False):
@@ -155,7 +161,7 @@ def radar_config_to_dict(cfg: RadarConfig) -> dict:
 
 
 def radar_config_from_dict(obj: dict, where: str) -> RadarConfig:
-    obj = dict(obj)
+    obj = _object(obj, where)
     kwargs = {}
     for name in ("n_samples", "n_chirps", "n_azimuth_bins", "n_elevation_bins",
                  "range_resolution", "speed_resolution", "azimuth_fov",
@@ -194,7 +200,7 @@ def default_camera() -> CameraModel:
 
 
 def camera_from_dict(obj: dict, where: str) -> CameraModel:
-    obj = dict(obj)
+    obj = _object(obj, where)
     base = default_camera()
     kwargs = {
         "fx": _take(obj, where, "fx", base.fx),
@@ -223,8 +229,8 @@ def load_scene(path: str | Path) -> tuple[SceneConfig, RadarConfig, CameraModel]
         raise FormatError(f"{where}: 'scatterers' must be a list")
     scatterers = []
     for i, entry in enumerate(raw_scatterers):
-        entry = dict(entry)
         swhere = f"{where}: scatterers[{i}]"
+        entry = _object(entry, swhere)
         pos = _take(entry, swhere, "position", required=True)
         vel = _take(entry, swhere, "velocity", required=True)
         amp = _take(entry, swhere, "amplitude", 1.0)
@@ -309,36 +315,76 @@ def write_frame_sequence(
         _write_json(fdir / "meta.json", meta)
 
 
+def _number(value, where: str, key: str) -> float:
+    """A finite JSON number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise FormatError(f"{where}: '{key}' must be a finite number, got {value!r}")
+    return value
+
+
+def _non_negative_int(value, where: str, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FormatError(f"{where}: '{key}' must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _read_manifest(base: Path, kind: str) -> tuple[dict, str, float]:
+    """A sequence's manifest with its kind, format version and frame interval
+    checked and taken out, its location, and the frame interval."""
+    where = str(base / "manifest.json")
+    manifest = _read_json(base / "manifest.json")
+    found = _take(manifest, where, "kind", required=True)
+    if found != kind:
+        raise FormatError(f"{where}: kind {found!r} is not {kind!r}")
+    version = _take(manifest, where, "format_version", required=True)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{where}: unsupported format version {version}")
+    frame_interval = _number(_take(manifest, where, "frame_interval", required=True),
+                             where, "frame_interval")
+    if not frame_interval > 0:
+        raise FormatError(f"{where}: 'frame_interval' must be positive, got {frame_interval}")
+    return manifest, where, frame_interval
+
+
+@contextmanager
+def _frame_reader(base: Path, idx: int):
+    """Read a frame's meta.json and check its frame_index and timestamp, then
+    yield (frame directory, timestamp, the rest of the meta, its location);
+    a ValueError raised while the caller reads the frame's tensors becomes a
+    FormatError naming the frame directory."""
+    fdir = _frame_dir(base, idx)
+    where = str(fdir / "meta.json")
+    meta = _read_json(fdir / "meta.json")
+    frame_index = _take(meta, where, "frame_index", required=True)
+    if frame_index != idx:
+        raise FormatError(f"{where}: frame_index {frame_index!r} != directory index {idx}")
+    timestamp = _number(_take(meta, where, "timestamp", required=True), where, "timestamp")
+    try:
+        yield fdir, timestamp, meta, where
+    except FormatError:
+        raise
+    except ValueError as err:
+        raise FormatError(f"{fdir}: {err}") from None
+
+
 def read_frame_sequence(
     directory: str | Path,
 ) -> tuple[list[FrameBundle], RadarConfig, CameraModel, float]:
     base = Path(directory)
-    manifest = _read_json(base / "manifest.json")
-    where = str(base / "manifest.json")
-    if _take(manifest, where, "kind", required=True) != "frames":
-        raise FormatError(f"{where}: not a frame sequence")
-    version = _take(manifest, where, "format_version", required=True)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{where}: unsupported format version {version}")
-    n_frames = _take(manifest, where, "n_frames", required=True)
-    frame_interval = _take(manifest, where, "frame_interval", required=True)
+    manifest, where, frame_interval = _read_manifest(base, "frames")
+    n_frames = _non_negative_int(_take(manifest, where, "n_frames", required=True),
+                                 where, "n_frames")
     radar = radar_config_from_dict(_take(manifest, where, "radar", {}), f"{where}: radar")
     camera = camera_from_dict(_take(manifest, where, "camera", {}), f"{where}: camera")
     _reject_extras(manifest, where)
 
     bundles = []
     for idx in range(n_frames):
-        fdir = _frame_dir(base, idx)
-        mwhere = str(fdir / "meta.json")
-        meta = _read_json(fdir / "meta.json")
-        frame_index = _take(meta, mwhere, "frame_index", required=True)
-        if frame_index != idx:
-            raise FormatError(f"{mwhere}: frame_index {frame_index} != directory index {idx}")
-        bundle = FrameBundle(frame_index=idx,
-                             timestamp=_take(meta, mwhere, "timestamp", required=True))
-        flow_dt = _take(meta, mwhere, "flow_dt")
-        _reject_extras(meta, mwhere)
-        try:
+        with _frame_reader(base, idx) as (fdir, timestamp, meta, mwhere):
+            flow_dt = _take(meta, mwhere, "flow_dt")
+            _reject_extras(meta, mwhere)
+            bundle = FrameBundle(frame_index=idx, timestamp=timestamp)
             if (fdir / "adc.crlv").exists():
                 bundle.adc = AdcCube(read_tensor(fdir / "adc.crlv"))
             if (fdir / "lidar_positions.crlv").exists():
@@ -347,8 +393,7 @@ def read_frame_sequence(
                     labels = read_tensor(fdir / "lidar_labels.crlv")
                 bundle.lidar = PointCloud(read_tensor(fdir / "lidar_positions.crlv"), labels)
             if (fdir / "flow.crlv").exists():
-                if flow_dt is None:
-                    raise FormatError(f"{mwhere}: flow present but no flow_dt")
+                flow_dt = _number(flow_dt, mwhere, "flow_dt")
                 covered = read_tensor(fdir / "flow_covered.crlv").astype(bool)
                 bundle.flow = FlowField(read_tensor(fdir / "flow.crlv"), covered, flow_dt)
             if (fdir / "gt_velocities.crlv").exists():
@@ -358,10 +403,6 @@ def read_frame_sequence(
                 status = np.full(len(vel), PointStatus.OK, dtype=np.uint8)
                 bundle.ground_truth = VelocityPointCloud(
                     bundle.lidar.positions.copy(), vel, status)
-        except ValueError as err:
-            if isinstance(err, FormatError):
-                raise
-            raise FormatError(f"{fdir}: {err}") from None
         bundles.append(bundle)
     return bundles, radar, camera, frame_interval
 
@@ -394,36 +435,21 @@ def read_velocity_sequence(
     directory: str | Path,
 ) -> tuple[dict[int, tuple[float, VelocityPointCloud]], float]:
     base = Path(directory)
-    where = str(base / "manifest.json")
-    manifest = _read_json(base / "manifest.json")
-    if _take(manifest, where, "kind", required=True) != "velocities":
-        raise FormatError(f"{where}: not a velocity sequence")
-    version = _take(manifest, where, "format_version", required=True)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{where}: unsupported format version {version}")
+    manifest, where, frame_interval = _read_manifest(base, "velocities")
     indices = _take(manifest, where, "frame_indices", required=True)
-    frame_interval = _take(manifest, where, "frame_interval", required=True)
+    if not isinstance(indices, list):
+        raise FormatError(f"{where}: 'frame_indices' must be a list, got {indices!r}")
+    indices = [_non_negative_int(idx, where, "frame_indices") for idx in indices]
     _reject_extras(manifest, where)
     clouds: dict[int, tuple[float, VelocityPointCloud]] = {}
     for idx in indices:
-        fdir = _frame_dir(base, idx)
-        mwhere = str(fdir / "meta.json")
-        meta = _read_json(fdir / "meta.json")
-        if _take(meta, mwhere, "frame_index", required=True) != idx:
-            raise FormatError(f"{mwhere}: frame_index mismatch")
-        timestamp = _take(meta, mwhere, "timestamp", required=True)
-        _reject_extras(meta, mwhere)
-        try:
-            cloud = VelocityPointCloud(
+        with _frame_reader(base, idx) as (fdir, timestamp, meta, mwhere):
+            _reject_extras(meta, mwhere)
+            clouds[idx] = (timestamp, VelocityPointCloud(
                 read_tensor(fdir / "positions.crlv"),
                 read_tensor(fdir / "velocities.crlv"),
                 read_tensor(fdir / "status.crlv"),
-            )
-        except ValueError as err:
-            if isinstance(err, FormatError):
-                raise
-            raise FormatError(f"{fdir}: {err}") from None
-        clouds[idx] = (timestamp, cloud)
+            ))
     return clouds, frame_interval
 
 

@@ -200,19 +200,6 @@ class MetricsReport:
         }
 
 
-def centroid_velocity(track: ObjectTrack, index: int) -> np.ndarray:
-    """Centroid displacement between frames index and index+1 over their dt."""
-    if not 0 <= index < len(track.frames) - 1:
-        raise ValueError(
-            f"index {index} has no successor in a track of {len(track.frames)} frames"
-        )
-    a, b = track.frames[index], track.frames[index + 1]
-    dt = b.timestamp - a.timestamp
-    if not dt > 0:
-        raise ValueError(f"non-increasing timestamps {a.timestamp} -> {b.timestamp}")
-    return (b.centroid - a.centroid) / dt
-
-
 def ave(estimates: np.ndarray, truths: np.ndarray) -> float:
     """Average Euclidean error between velocity vectors, m/s."""
     est = np.asarray(estimates, dtype=np.float64).reshape(-1, 3)
@@ -227,14 +214,15 @@ def ave(estimates: np.ndarray, truths: np.ndarray) -> float:
 def decompose_radial_tangential(
     velocity: np.ndarray, position: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split a velocity into components along and across the line of sight."""
+    """Split velocities (..., 3) into components along and across the line of
+    sight to the positions (..., 3)."""
     pos = np.asarray(position, dtype=np.float64)
-    rng = float(np.linalg.norm(pos))
-    if rng == 0.0:
+    rng = np.linalg.norm(pos, axis=-1, keepdims=True)
+    if np.any(rng == 0.0):
         raise ValueError("zero position has no radial direction")
     r_hat = pos / rng
     vel = np.asarray(velocity, dtype=np.float64)
-    radial = float(np.dot(vel, r_hat)) * r_hat
+    radial = np.sum(vel * r_hat, axis=-1, keepdims=True) * r_hat
     return radial, vel - radial
 
 
@@ -287,50 +275,51 @@ class EvalFrame:
     gt_velocities: np.ndarray | None  # (N, 3) exact truth or None
 
 
-def build_tracks(
-    frames: list[EvalFrame],
-    eps: float,
-    min_points: int,
-    gate: float = ASSOCIATION_GATE,
-) -> list[ObjectTrack]:
+def _cluster_frames(frame: EvalFrame, labels: np.ndarray) -> list[TrackFrame]:
+    """One TrackFrame per cluster of a frame, summed with bincount over the
+    labels: every bin accumulates its points in index order, as the masked
+    mean over the cluster's rows would."""
+    n_clusters = int(labels.max()) + 1 if len(labels) else 0
+    member = labels >= 0
+    ok = member & (frame.status == PointStatus.OK)
+
+    def sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+        bins = 3 * labels[mask, None] + np.arange(3)
+        return np.bincount(bins.ravel(), weights=values[mask].ravel(),
+                           minlength=3 * n_clusters).reshape(n_clusters, 3)
+
+    n_points = np.bincount(labels[member], minlength=n_clusters)
+    n_ok = np.bincount(labels[ok], minlength=n_clusters)
+    centroids = sums(member, frame.positions) / n_points[:, None]
+    mean_velocities = sums(ok, frame.velocities) / np.maximum(n_ok, 1)[:, None]
+    gt_velocities = (sums(member, frame.gt_velocities) / n_points[:, None]
+                     if frame.gt_velocities is not None else [None] * n_clusters)
+    return [
+        TrackFrame(frame.frame_index, frame.timestamp, centroids[c],
+                   mean_velocities[c] if n_ok[c] else None, gt_velocities[c],
+                   int(n_points[c]), int(n_ok[c]))
+        for c in range(n_clusters)
+    ]
+
+
+def build_tracks(frames: list[EvalFrame], eps: float, min_points: int) -> list[ObjectTrack]:
     """Cluster each frame and chain clusters into tracks.
 
     Clusters of consecutive frames are matched greedily by ascending centroid
-    distance, capped at gate meters; unmatched clusters open new tracks.
+    distance, capped at ASSOCIATION_GATE meters; unmatched clusters open new
+    tracks.
     """
     tracks: list[ObjectTrack] = []
     active: dict[int, ObjectTrack] = {}  # track_id -> track with a frame at f-1
     for frame in sorted(frames, key=lambda f: f.frame_index):
-        labels = cluster_points(frame.positions, eps, min_points)
-        observations = []
-        for cid in range(labels.max() + 1 if len(labels) else 0):
-            members = labels == cid
-            centroid = frame.positions[members].mean(axis=0)
-            ok = members & (frame.status == PointStatus.OK)
-            mean_vel = frame.velocities[ok].mean(axis=0) if ok.any() else None
-            gt_vel = (
-                frame.gt_velocities[members].mean(axis=0)
-                if frame.gt_velocities is not None
-                else None
-            )
-            observations.append(
-                TrackFrame(
-                    frame_index=frame.frame_index,
-                    timestamp=frame.timestamp,
-                    centroid=centroid,
-                    mean_velocity=mean_vel,
-                    gt_velocity=gt_vel,
-                    n_points=int(members.sum()),
-                    n_ok=int(ok.sum()),
-                )
-            )
+        observations = _cluster_frames(frame, cluster_points(frame.positions, eps, min_points))
 
         # Greedy nearest-centroid association against last frame's tracks.
         pairs = []
         for tid, track in active.items():
             for cid, obs in enumerate(observations):
                 d = float(np.linalg.norm(obs.centroid - track.frames[-1].centroid))
-                if d <= gate:
+                if d <= ASSOCIATION_GATE:
                     pairs.append((d, tid, cid))
         pairs.sort()
         taken_tracks: set[int] = set()
@@ -352,40 +341,46 @@ def build_tracks(
     return tracks
 
 
-def evaluate_tracks(tracks: list[ObjectTrack]) -> MetricsReport:
-    """Aggregate object-wise velocity metrics over all track frames.
+def scored_frames(
+    tracks: list[ObjectTrack],
+) -> tuple[list[tuple[int, TrackFrame]], np.ndarray, np.ndarray, np.ndarray]:
+    """The (track id, frame) pairs that are scored, in track and frame order,
+    with their estimates, truths and centroids as (M, 3) arrays.
 
-    The estimate of a (track, frame) pair is the mean velocity of the
-    cluster's OK points. Ground truth comes from the stored per-frame truth
-    when present, otherwise from the centroid displacement to the next frame.
+    A track frame is scored when its cluster has OK points; the estimate is
+    their mean velocity. The truth is the stored per-frame truth when present,
+    otherwise the centroid displacement to the track's next frame over the
+    timestamp step; a last frame without stored truth is not scored.
     """
-    est, gt, centroids = [], [], []
+    scored, truths = [], []
     for track in tracks:
-        for i, tf in enumerate(track.frames):
+        for tf, nxt in zip(track.frames, [*track.frames[1:], None]):
             if tf.mean_velocity is None:
                 continue
             if tf.gt_velocity is not None:
-                truth = tf.gt_velocity
-            elif i + 1 < len(track.frames):
-                truth = centroid_velocity(track, i)
+                truths.append(tf.gt_velocity)
+            elif nxt is not None:
+                dt = nxt.timestamp - tf.timestamp
+                if not dt > 0:
+                    raise ValueError(f"track {track.track_id}: non-increasing timestamps "
+                                     f"{tf.timestamp} -> {nxt.timestamp}")
+                truths.append((nxt.centroid - tf.centroid) / dt)
             else:
                 continue
-            est.append(tf.mean_velocity)
-            gt.append(truth)
-            centroids.append(tf.centroid)
-    if not est:
+            scored.append((track.track_id, tf))
+    estimates = np.array([tf.mean_velocity for _, tf in scored]).reshape(-1, 3)
+    centroids = np.array([tf.centroid for _, tf in scored]).reshape(-1, 3)
+    return scored, estimates, np.array(truths).reshape(-1, 3), centroids
+
+
+def evaluate_tracks(tracks: list[ObjectTrack]) -> MetricsReport:
+    """Aggregate object-wise velocity metrics over the scored track frames
+    (`scored_frames`)."""
+    scored, est, gt, centroids = scored_frames(tracks)
+    if not scored:
         raise ValueError("no evaluable track frames (no OK points or no truth)")
-    est_arr = np.asarray(est)
-    gt_arr = np.asarray(gt)
-
-    radial_err = np.empty(len(est_arr))
-    tangential_err = np.empty(len(est_arr))
-    for i in range(len(est_arr)):
-        rad, tan = decompose_radial_tangential(est_arr[i] - gt_arr[i], centroids[i])
-        radial_err[i] = np.linalg.norm(rad)
-        tangential_err[i] = np.linalg.norm(tan)
-
-    angles, weights, excluded = angular_errors(est_arr, gt_arr)
+    radial, tangential = decompose_radial_tangential(est - gt, centroids)
+    angles, weights, excluded = angular_errors(est, gt)
     if excluded:
         logger.info("evaluate_tracks: %d pairs lack a measurable direction", excluded)
     if len(angles):
@@ -395,10 +390,10 @@ def evaluate_tracks(tracks: list[ObjectTrack]) -> MetricsReport:
         avae_deg = 0.0
         avae_w = 0.0
     return MetricsReport(
-        ave=ave(est_arr, gt_arr),
-        ave_radial=float(np.mean(radial_err)),
-        ave_tangential=float(np.mean(tangential_err)),
+        ave=ave(est, gt),
+        ave_radial=float(np.mean(np.linalg.norm(radial, axis=1))),
+        ave_tangential=float(np.mean(np.linalg.norm(tangential, axis=1))),
         avae_deg=avae_deg,
         avae_weighted_deg=avae_w,
-        n_frames=len(est_arr),
+        n_frames=len(scored),
     )

@@ -46,8 +46,10 @@ class Scatterer:
     def __post_init__(self) -> None:
         if len(self.position) != 3 or len(self.velocity) != 3:
             raise ValueError("position and velocity must be 3-vectors")
-        if not self.amplitude > 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        if not (np.isfinite(self.position).all() and np.isfinite(self.velocity).all()):
+            raise ValueError(f"non-finite position {self.position} or velocity {self.velocity}")
+        if not (self.amplitude > 0 and np.isfinite(self.amplitude)):
+            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -156,18 +158,13 @@ def simulate_adc(scene: SceneConfig, frame_index: int, cfg: RadarConfig) -> AdcC
 def synth_lidar(scene: SceneConfig, frame_index: int) -> PointCloud:
     """Jittered point samples around each scatterer, labeled by scatterer index."""
     _check_frame_index(scene, frame_index)
-    if not scene.scatterers:
-        return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
     rng = np.random.default_rng([scene.seed, frame_index, _LIDAR_STREAM])
-    positions = _positions_at(scene, frame_index)
     k = scene.lidar_points_per_scatterer
-    pts = []
-    labels = []
-    for i in range(len(scene.scatterers)):
-        jitter = scene.lidar_jitter_sigma * rng.standard_normal((k, 3))
-        pts.append(positions[i] + jitter)
-        labels.append(np.full(k, i, dtype=np.int64))
-    return PointCloud(np.concatenate(pts), np.concatenate(labels))
+    n = len(scene.scatterers)
+    # One draw for all scatterers: the same stream as k x 3 draws per scatterer.
+    jitter = scene.lidar_jitter_sigma * rng.standard_normal((n * k, 3))
+    positions = np.repeat(_positions_at(scene, frame_index), k, axis=0) + jitter
+    return PointCloud(positions, np.repeat(np.arange(n, dtype=np.int64), k))
 
 
 def synth_flow(scene: SceneConfig, frame_index: int, camera: CameraModel) -> FlowField:
@@ -186,30 +183,30 @@ def synth_flow(scene: SceneConfig, frame_index: int, camera: CameraModel) -> Flo
             f"{scene.n_frames} frames"
         )
     cloud = synth_lidar(scene, frame_index)
-    vel = np.array([s.velocity for s in scene.scatterers], dtype=np.float64)
-    later = cloud.positions + scene.frame_interval * vel[cloud.labels] \
-        if len(cloud) else cloud.positions
-
-    flow = np.zeros((camera.height, camera.width, 2), dtype=np.float32)
-    covered = np.zeros((camera.height, camera.width), dtype=bool)
-    zbuf: dict[tuple[int, int], float] = {}  # nearest depth per splatted pixel
+    vel = np.array([s.velocity for s in scene.scatterers], dtype=np.float64).reshape(-1, 3)
+    later = cloud.positions + scene.frame_interval * vel[cloud.labels]
 
     u0, v0, z0 = project_points(cloud.positions, camera)
     u1, v1, z1 = project_points(later, camera)
-    behind = 0
-    for i in range(len(cloud)):
-        if z0[i] <= 0 or z1[i] <= 0:
-            behind += 1
-            continue
-        col = int(np.floor(u0[i] + 0.5))
-        row = int(np.floor(v0[i] + 0.5))
-        if not (0 <= col < camera.width and 0 <= row < camera.height):
-            continue
-        if z0[i] < zbuf.get((row, col), np.inf):
-            zbuf[row, col] = z0[i]
-            flow[row, col, 0] = u1[i] - u0[i]
-            flow[row, col, 1] = v1[i] - v0[i]
-            covered[row, col] = True
+    front = np.flatnonzero((z0 > 0) & (z1 > 0))
+    behind = len(cloud) - len(front)
+    col = np.floor(u0[front] + 0.5)
+    row = np.floor(v0[front] + 0.5)
+    on_image = (col >= 0) & (col < camera.width) & (row >= 0) & (row < camera.height)
+    points = front[on_image]
+    pixels = row[on_image].astype(np.int64) * camera.width + col[on_image].astype(np.int64)
+    # Z-buffer: per pixel the nearest earlier-frame depth wins, the lowest
+    # point index on a tie (the sort is stable and points are in index order).
+    order = np.lexsort((z0[points], pixels))
+    pixels, first = np.unique(pixels[order], return_index=True)
+    points = points[order[first]]
+    rows, cols = np.divmod(pixels, camera.width)
+
+    flow = np.zeros((camera.height, camera.width, 2), dtype=np.float32)
+    covered = np.zeros((camera.height, camera.width), dtype=bool)
+    flow[rows, cols, 0] = u1[points] - u0[points]
+    flow[rows, cols, 1] = v1[points] - v0[points]
+    covered[rows, cols] = True
     if behind:
         logger.info("synth_flow frame %d: skipped %d points behind the camera",
                     frame_index, behind)

@@ -1,15 +1,17 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately written without np.fft and without reusing
-package internals: DFTs are explicit matrix products, searches are plain
-loops. Slow but unambiguous.
+Everything here is deliberately written without np.fft and, apart from the
+stages named in a docstring, without reusing package internals: DFTs are
+explicit matrix products, searches are plain loops. Slow but unambiguous.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from velofusion.cube import RadarConfig
-from velofusion.types import PointStatus
+from velofusion.fusion import project_points
+from velofusion.metrics import ASSOCIATION_GATE, ObjectTrack, TrackFrame, cluster_points
+from velofusion.types import FlowField, PointCloud, PointStatus
 
 
 def hanning_closed_form(n: int) -> np.ndarray:
@@ -237,6 +239,104 @@ def oracle_cluster_points(points: np.ndarray, eps: float, min_points: int) -> np
     if best is None:
         return 0.0, False
     return float(best), True
+
+
+def oracle_synth_lidar(scene, frame_index: int) -> PointCloud:
+    """LiDAR samples drawn scatterer by scatterer: k x 3 normals each."""
+    if not scene.scatterers:
+        return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+    rng = np.random.default_rng([scene.seed, frame_index, 0])
+    t = frame_index * scene.frame_interval
+    k = scene.lidar_points_per_scatterer
+    pts, labels = [], []
+    for i, scat in enumerate(scene.scatterers):
+        center = np.asarray(scat.position, dtype=np.float64) \
+            + t * np.asarray(scat.velocity, dtype=np.float64)
+        pts.append(center + scene.lidar_jitter_sigma * rng.standard_normal((k, 3)))
+        labels.append(np.full(k, i, dtype=np.int64))
+    return PointCloud(np.concatenate(pts), np.concatenate(labels))
+
+
+def oracle_synth_flow(scene, frame_index: int, camera) -> tuple[FlowField, int]:
+    """The per-point z-buffer splat: the flow field and the number of points
+    skipped behind the camera.
+
+    Points are visited in index order and a pixel is overwritten only by a
+    strictly nearer earlier-frame depth, so the lowest index wins a tie.
+    Projection is the package's `project_points`.
+    """
+    cloud = oracle_synth_lidar(scene, frame_index)
+    vel = np.array([s.velocity for s in scene.scatterers], dtype=np.float64)
+    later = cloud.positions + scene.frame_interval * vel[cloud.labels] \
+        if len(cloud) else cloud.positions
+    flow = np.zeros((camera.height, camera.width, 2), dtype=np.float32)
+    covered = np.zeros((camera.height, camera.width), dtype=bool)
+    zbuf: dict[tuple[int, int], float] = {}
+    u0, v0, z0 = project_points(cloud.positions, camera)
+    u1, v1, z1 = project_points(later, camera)
+    behind = 0
+    for i in range(len(cloud)):
+        if z0[i] <= 0 or z1[i] <= 0:
+            behind += 1
+            continue
+        col = int(np.floor(u0[i] + 0.5))
+        row = int(np.floor(v0[i] + 0.5))
+        if not (0 <= col < camera.width and 0 <= row < camera.height):
+            continue
+        if z0[i] < zbuf.get((row, col), np.inf):
+            zbuf[row, col] = z0[i]
+            flow[row, col, 0] = u1[i] - u0[i]
+            flow[row, col, 1] = v1[i] - v0[i]
+            covered[row, col] = True
+    return FlowField(flow, covered, scene.frame_interval), behind
+
+
+def oracle_build_tracks(frames, eps: float, min_points: int) -> list[ObjectTrack]:
+    """Tracks with every cluster summarised by masked means, one cluster at a
+    time, then greedy nearest-centroid association. Clustering is the
+    package's `cluster_points`, which has its own oracle above."""
+    tracks: list[ObjectTrack] = []
+    active: dict[int, ObjectTrack] = {}
+    for frame in sorted(frames, key=lambda f: f.frame_index):
+        labels = cluster_points(frame.positions, eps, min_points)
+        observations = []
+        for cid in range(labels.max() + 1 if len(labels) else 0):
+            members = labels == cid
+            ok = members & (frame.status == PointStatus.OK)
+            observations.append(TrackFrame(
+                frame_index=frame.frame_index,
+                timestamp=frame.timestamp,
+                centroid=frame.positions[members].mean(axis=0),
+                mean_velocity=frame.velocities[ok].mean(axis=0) if ok.any() else None,
+                gt_velocity=(frame.gt_velocities[members].mean(axis=0)
+                             if frame.gt_velocities is not None else None),
+                n_points=int(members.sum()),
+                n_ok=int(ok.sum()),
+            ))
+        pairs = []
+        for tid, track in active.items():
+            for cid, obs in enumerate(observations):
+                d = float(np.linalg.norm(obs.centroid - track.frames[-1].centroid))
+                if d <= ASSOCIATION_GATE:
+                    pairs.append((d, tid, cid))
+        pairs.sort()
+        taken_tracks: set[int] = set()
+        taken_clusters: set[int] = set()
+        next_active: dict[int, ObjectTrack] = {}
+        for d, tid, cid in pairs:
+            if tid in taken_tracks or cid in taken_clusters:
+                continue
+            taken_tracks.add(tid)
+            taken_clusters.add(cid)
+            active[tid].frames.append(observations[cid])
+            next_active[tid] = active[tid]
+        for cid, obs in enumerate(observations):
+            if cid not in taken_clusters:
+                track = ObjectTrack(track_id=len(tracks), frames=[obs])
+                tracks.append(track)
+                next_active[track.track_id] = track
+        active = next_active
+    return tracks
 
 
 def random_rotation(rng: np.random.Generator, max_angle: float = 0.3) -> np.ndarray:

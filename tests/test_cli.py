@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,11 @@ import numpy as np
 import pytest
 
 from velofusion.cli import main
-from velofusion.io import read_tensor, read_velocity_sequence, write_tensor
+from velofusion.cube import build_radar_cube, threshold_cube
+from velofusion.fusion import estimate_frame
+from velofusion.io import read_frame_sequence, read_tensor, read_velocity_sequence, write_tensor
+from velofusion.types import FramePair
+from velofusion.velcube import ContextWindow, collapse_doppler
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -46,6 +51,29 @@ def test_process_estimates_frames(pipeline_dirs, capsys):
     for _, cloud in clouds.values():
         assert len(cloud) == 60
         assert (cloud.status == 0).sum() > 10
+
+
+@pytest.mark.parametrize("threshold_db", [1.0, 80.0])
+def test_process_applies_the_manifest_threshold(pipeline_dirs, tmp_path, threshold_db):
+    frames, vel, _ = pipeline_dirs
+    edited = tmp_path / "frames"
+    shutil.copytree(frames, edited)
+    manifest = json.loads((edited / "manifest.json").read_text())
+    manifest["radar"]["threshold_db"] = threshold_db
+    (edited / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["process", "--in", str(edited), "--out", str(tmp_path / "vel")]) == 0
+    got, _ = read_velocity_sequence(tmp_path / "vel")
+    at_default, _ = read_velocity_sequence(vel)
+    bundles, radar, camera, _ = read_frame_sequence(edited)
+    assert radar.threshold_db == threshold_db
+    for bundle in bundles[1:]:
+        cube = threshold_cube(build_radar_cube(bundle.adc, radar), threshold_db)
+        want = estimate_frame(bundle.lidar, collapse_doppler(cube, radar), bundle.flow, camera,
+                              FramePair(dt=bundle.flow.dt), ContextWindow())
+        assert np.array_equal(got[bundle.frame_index][1].status, want.status)
+        assert np.array_equal(got[bundle.frame_index][1].velocities, want.velocities)
+    assert any(not np.array_equal(got[i][1].velocities, at_default[i][1].velocities)
+               for i in got)
 
 
 def test_process_prints_per_frame_timing(pipeline_dirs, capsys, tmp_path):
@@ -98,6 +126,42 @@ def test_corrupt_scene_file_fails_cleanly(tmp_path, capsys):
     code = main(["simulate", "--scene", str(scene), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "n_frames" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_non_finite_scene_fails_cleanly(tmp_path, capsys, bad):
+    scene = tmp_path / "scene.json"
+    scene.write_text((SCENES / "tiny.json").read_text().replace("[1.8, 0.2, 0.0]",
+                                                                f"[1.8, {bad}, 0.0]"))
+    assert bad in scene.read_text()
+    code = main(["simulate", "--scene", str(scene), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "scatterers[0]: non-finite position" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, manifest, key, value", [
+    ("process", "frames", "n_frames", "2"),
+    ("evaluate", "vel", "frame_indices", 5),
+])
+def test_bad_manifest_types_fail_cleanly(pipeline_dirs, tmp_path, capsys,
+                                         command, manifest, key, value):
+    frames, vel, _ = pipeline_dirs
+    copies = {"frames": tmp_path / "frames", "vel": tmp_path / "vel"}
+    shutil.copytree(frames, copies["frames"])
+    shutil.copytree(vel, copies["vel"])
+    path = copies[manifest] / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    capsys.readouterr()
+    argv = {"process": ["process", "--in", str(copies["frames"]),
+                        "--out", str(tmp_path / "out")],
+            "evaluate": ["evaluate", "--est", str(copies["vel"]),
+                         "--truth", str(copies["frames"]), "--report", str(tmp_path / "r.json")]}
+    assert main(argv[command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}' must be" in err
 
 
 def test_evaluate_rejects_missing_truth_frames(pipeline_dirs, tmp_path, capsys):

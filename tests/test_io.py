@@ -179,10 +179,35 @@ def test_load_scene_rejects_unknown_keys(tmp_path):
             load_scene(path)
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["scatterers"].__setitem__(1, 5),
+    lambda d: d.update(radar=[1]),
+    lambda d: d.update(camera="wide"),
+])
+def test_load_scene_rejects_non_object_entries(mutate, tmp_path):
+    obj = _demo_scene_dict()
+    mutate(obj)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match="expected a JSON object"):
+        load_scene(path)
+
+
 def test_load_scene_requires_scatterers(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({"n_frames": 3}))
     with pytest.raises(FormatError, match="scatterers"):
+        load_scene(path)
+
+
+@pytest.mark.parametrize("field, bad", [("position", np.nan), ("velocity", np.inf),
+                                        ("position", -np.inf)])
+def test_load_scene_rejects_non_finite_scatterers(field, bad, tmp_path):
+    obj = _demo_scene_dict()
+    obj["scatterers"][1][field][1] = bad  # written as NaN or Infinity, which json reads
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match=r"scatterers\[1\]: non-finite"):
         load_scene(path)
 
 
@@ -250,28 +275,94 @@ def test_empty_frame_sequence(tmp_path):
     assert got == []
 
 
-def test_frame_sequence_rejects_wrong_kind(tmp_path):
+def _write_sequence(kind, base):
+    """A two-frame sequence of the given kind; returns its reader and the
+    name of one of its tensors."""
     bundles, cfg, camera, scene = _tiny_bundles()
-    write_frame_sequence(tmp_path / "seq", bundles, cfg, camera, scene.frame_interval)
-    manifest = json.loads((tmp_path / "seq" / "manifest.json").read_text())
-    manifest["kind"] = "velocities"
-    (tmp_path / "seq" / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match="not a frame sequence"):
-        read_frame_sequence(tmp_path / "seq")
+    if kind == "frames":
+        write_frame_sequence(base, bundles, cfg, camera, scene.frame_interval)
+        return read_frame_sequence, "adc.crlv"
+    clouds = {b.frame_index: (b.timestamp, b.ground_truth) for b in bundles}
+    write_velocity_sequence(base, clouds, scene.frame_interval)
+    return read_velocity_sequence, "velocities.crlv"
 
 
-def test_frame_sequence_missing_manifest(tmp_path):
+def _edit_json(path, **changes):
+    obj = json.loads(path.read_text())
+    obj.update(changes)
+    path.write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("kind", ["frames", "velocities"])
+def test_sequence_rejects_wrong_kind(kind, tmp_path):
+    read, _ = _write_sequence(kind, tmp_path / "seq")
+    _edit_json(tmp_path / "seq" / "manifest.json", kind="other")
+    with pytest.raises(FormatError, match=f"kind 'other' is not '{kind}'"):
+        read(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("read", [read_frame_sequence, read_velocity_sequence],
+                         ids=["frames", "velocities"])
+def test_sequence_missing_manifest(read, tmp_path):
     with pytest.raises(FormatError, match="manifest.json"):
-        read_frame_sequence(tmp_path / "nothing")
+        read(tmp_path / "nothing")
 
 
-def test_frame_sequence_detects_corrupt_tensor(tmp_path):
-    bundles, cfg, camera, scene = _tiny_bundles()
-    write_frame_sequence(tmp_path / "seq", bundles, cfg, camera, scene.frame_interval)
-    victim = tmp_path / "seq" / "frame_000001" / "adc.crlv"
+@pytest.mark.parametrize("kind", ["frames", "velocities"])
+def test_sequence_detects_corrupt_tensor(kind, tmp_path):
+    read, name = _write_sequence(kind, tmp_path / "seq")
+    victim = tmp_path / "seq" / "frame_000001" / name
     victim.write_bytes(victim.read_bytes()[:100])
-    with pytest.raises(FormatError, match="adc.crlv"):
-        read_frame_sequence(tmp_path / "seq")
+    with pytest.raises(FormatError, match=name):
+        read(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("frames", "n_frames", "2"),
+    ("frames", "n_frames", -1),
+    ("frames", "n_frames", 1.0),
+    ("frames", "n_frames", True),
+    ("velocities", "frame_indices", 5),
+    ("velocities", "frame_indices", [0, "1"]),
+    ("velocities", "frame_indices", [-1]),
+    ("frames", "frame_interval", "0.1"),
+    ("velocities", "frame_interval", 0),
+    ("velocities", "frame_interval", float("nan")),
+])
+def test_sequence_manifest_rejects_bad_types(kind, key, value, tmp_path):
+    read, _ = _write_sequence(kind, tmp_path / "seq")
+    _edit_json(tmp_path / "seq" / "manifest.json", **{key: value})
+    with pytest.raises(FormatError, match=f"manifest.json: '{key}' must be"):
+        read(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("key", ["radar", "camera"])
+def test_frame_manifest_rejects_non_object_blocks(key, tmp_path):
+    read, _ = _write_sequence("frames", tmp_path / "seq")
+    _edit_json(tmp_path / "seq" / "manifest.json", **{key: 5})
+    with pytest.raises(FormatError, match=f"manifest.json: {key}: expected a JSON object"):
+        read(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("frames", "timestamp", "0.1"),
+    ("velocities", "timestamp", None),
+    ("frames", "flow_dt", "0.1"),
+    ("frames", "flow_dt", None),
+    ("frames", "flow_dt", float("inf")),
+])
+def test_sequence_meta_rejects_bad_types(kind, key, value, tmp_path):
+    read, _ = _write_sequence(kind, tmp_path / "seq")
+    _edit_json(tmp_path / "seq" / "frame_000001" / "meta.json", **{key: value})
+    with pytest.raises(FormatError, match=f"meta.json: '{key}' must be"):
+        read(tmp_path / "seq")
+
+
+def test_frame_sequence_rejects_non_positive_flow_dt(tmp_path):
+    read, _ = _write_sequence("frames", tmp_path / "seq")
+    _edit_json(tmp_path / "seq" / "frame_000001" / "meta.json", flow_dt=-0.1)
+    with pytest.raises(FormatError, match="frame_000001: dt must be positive"):
+        read(tmp_path / "seq")
 
 
 def test_velocity_sequence_round_trip(tmp_path):

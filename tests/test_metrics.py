@@ -14,14 +14,14 @@ from velofusion.metrics import (
     avae,
     ave,
     build_tracks,
-    centroid_velocity,
     cluster_points,
     decompose_radial_tangential,
     evaluate_tracks,
+    scored_frames,
 )
 from velofusion.types import PointStatus
 
-from helpers import oracle_cluster_points
+from helpers import oracle_build_tracks, oracle_cluster_points
 
 
 def _blob(center, n, rng, sigma=0.05):
@@ -214,6 +214,21 @@ def test_decompose_is_exact_split():
         assert abs(float(rad @ tan)) < 1e-12
 
 
+def test_decompose_batches_rows():
+    rng = np.random.default_rng(74)
+    v = rng.standard_normal((4, 5, 3))
+    p = rng.standard_normal((4, 5, 3))
+    rad, tan = decompose_radial_tangential(v, p)
+    assert rad.shape == tan.shape == (4, 5, 3)
+    for idx in np.ndindex(4, 5):
+        want_rad, want_tan = decompose_radial_tangential(v[idx], p[idx])
+        np.testing.assert_allclose(rad[idx], want_rad, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(tan[idx], want_tan, rtol=1e-14, atol=1e-15)
+    p[2, 3] = 0.0
+    with pytest.raises(ValueError, match="zero position"):
+        decompose_radial_tangential(v, p)
+
+
 def test_avae_examples():
     est = np.array([[1.0, 0.0, 0.0]])
     assert avae(est, est) == pytest.approx(0.0)
@@ -246,14 +261,42 @@ def test_avae_excludes_near_zero_pairs():
 
 
 def test_centroid_velocity():
+    # Without stored truth a frame is scored against the centroid displacement
+    # to the next frame; the last frame has no successor and is not scored.
+    est = np.array([0.9, 0.0, 0.0])
     frames = [
-        TrackFrame(0, 0.0, np.array([0.0, 0.0, 0.0]), None, None, 5, 5),
-        TrackFrame(1, 0.1, np.array([0.1, 0.0, 0.0]), None, None, 5, 5),
+        TrackFrame(0, 0.0, np.array([0.0, 0.0, 0.0]), est, None, 5, 5),
+        TrackFrame(1, 0.1, np.array([0.1, 0.0, 0.0]), est, None, 5, 5),
     ]
-    track = ObjectTrack(0, frames)
-    assert np.allclose(centroid_velocity(track, 0), [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        centroid_velocity(track, 1)  # no successor frame
+    scored, estimates, truths, centroids = scored_frames([ObjectTrack(0, frames)])
+    assert scored == [(0, frames[0])]
+    assert np.allclose(truths, [[1.0, 0.0, 0.0]])
+    assert np.array_equal(estimates, [est]) and np.array_equal(centroids, [frames[0].centroid])
+    frames[1].timestamp = 0.0
+    with pytest.raises(ValueError, match="non-increasing timestamps"):
+        scored_frames([ObjectTrack(0, frames)])
+
+
+def test_scored_frames_truth_rule():
+    # Track 0: stored truth wins over the displacement; a frame without OK
+    # points is skipped; a last frame with stored truth is scored.
+    # Track 1: no stored truth, so only frames with a successor are scored.
+    v = np.array([0.5, 0.0, 0.0])
+    gt = np.array([0.0, 0.3, 0.0])
+    first = [TrackFrame(f, 0.1 * f, np.array([f, 0.0, 0.0]), v, gt, 5, 5) for f in range(3)]
+    first[1].mean_velocity = None
+    second = [TrackFrame(f, 0.1 * f, np.array([0.0, 0.2 * f, 1.0]), v, None, 5, 5)
+              for f in range(3)]
+    scored, estimates, truths, centroids = scored_frames(
+        [ObjectTrack(0, first), ObjectTrack(1, second)])
+    assert scored == [(0, first[0]), (0, first[2]), (1, second[0]), (1, second[1])]
+    assert np.array_equal(estimates, [v] * 4)
+    assert np.array_equal(truths[:2], [gt, gt])
+    assert np.array_equal(truths[2:], [(second[1].centroid - second[0].centroid) / 0.1,
+                                       (second[2].centroid - second[1].centroid) / (0.2 - 0.1)])
+    assert np.array_equal(centroids, [tf.centroid for _, tf in scored])
+    scored, estimates, truths, centroids = scored_frames([])
+    assert scored == [] and estimates.shape == truths.shape == centroids.shape == (0, 3)
 
 
 def test_object_track_requires_consecutive_frames():
@@ -360,6 +403,53 @@ def test_evaluate_falls_back_to_centroid_velocity():
     # centroid displacement reproduces the velocity up to the jitter of the
     # per-frame point draws
     assert report.ave < 0.1
+
+
+def _assert_same_tracks(got, want):
+    assert [t.track_id for t in got] == [t.track_id for t in want]
+    for track, ref in zip(got, want):
+        assert len(track.frames) == len(ref.frames)
+        for tf, rf in zip(track.frames, ref.frames):
+            assert (tf.frame_index, tf.timestamp, tf.n_points, tf.n_ok) == \
+                (rf.frame_index, rf.timestamp, rf.n_points, rf.n_ok)
+            assert np.array_equal(tf.centroid, rf.centroid)
+            for a, b in ((tf.mean_velocity, rf.mean_velocity), (tf.gt_velocity, rf.gt_velocity)):
+                assert (a is None) == (b is None)
+                assert a is None or np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_frames=st.integers(0, 5),
+    n_objects=st.integers(0, 4),
+    points=st.integers(1, 40),
+    ok_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    noise=st.integers(0, 5),
+)
+def test_build_tracks_matches_per_cluster_oracle(seed, n_frames, n_objects, points,
+                                                 ok_fraction, noise):
+    # Objects drift across frames; per frame each object keeps a random share
+    # of its points (none makes an empty frame), isolated points are noise,
+    # some clusters have no OK points and some frames carry no truth.
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-2.0, 2.0, (n_objects, 3))
+    drift = rng.uniform(-0.3, 0.3, (n_objects, 3))
+    frames = []
+    for f in range(n_frames):
+        counts = rng.integers(0, points + 1, n_objects)
+        pos = [centers[o] + f * drift[o] + rng.normal(0.0, 0.05, (c, 3))
+               for o, c in enumerate(counts)]
+        pos.append(rng.uniform(-50.0, 50.0, (noise, 3)))
+        pos = np.concatenate(pos)[rng.permutation(int(counts.sum()) + noise)]
+        n = len(pos)
+        ok = rng.random(n) < ok_fraction
+        status = np.where(ok, PointStatus.OK, rng.integers(1, 5, n)).astype(np.uint8)
+        velocities = np.where(ok[:, None], rng.standard_normal((n, 3)), 0.0)
+        gt = rng.standard_normal((n, 3)) if rng.random() < 0.5 else None
+        frames.append(EvalFrame(f, 0.1 * f, pos, velocities, status, gt))
+    _assert_same_tracks(build_tracks(frames, eps=0.3, min_points=4),
+                        oracle_build_tracks(frames, eps=0.3, min_points=4))
 
 
 def test_evaluate_requires_usable_frames():

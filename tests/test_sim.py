@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from velofusion.sim import (
     synth_lidar,
 )
 from velofusion.types import CameraModel, PointStatus
+
+from helpers import oracle_synth_flow, oracle_synth_lidar, random_rotation
 
 # 0.25 m bins keep a usable max range (4 m) with only 16 samples
 SMALL = RadarConfig(
@@ -43,6 +47,16 @@ def test_scene_validation():
         SceneConfig(noise_floor=-0.1)
     with pytest.raises(ValueError):
         SceneConfig(seed=-1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scatterer_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        Scatterer(position=(1.0, bad, 0.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        Scatterer(position=(1.0, 0.0, 0.0), velocity=(0.0, 0.0, bad))
+    with pytest.raises(ValueError, match="amplitude"):
+        Scatterer(position=(1.0, 0.0, 0.0), amplitude=abs(bad))
 
 
 def test_scatterer_outside_coverage_is_rejected():
@@ -147,6 +161,21 @@ def test_synth_lidar_deterministic_and_labeled():
     assert np.linalg.norm(spread.mean(axis=0)) < 0.02
 
 
+@pytest.mark.parametrize("n_scatterers, k", [(0, 5), (1, 1), (3, 7), (12, 300)])
+def test_synth_lidar_equals_per_scatterer_draws(n_scatterers, k):
+    rng = np.random.default_rng(n_scatterers)
+    scene = _scene(
+        *(Scatterer(position=tuple(rng.uniform(-3.0, 3.0, 3)),
+                    velocity=tuple(rng.uniform(-1.0, 1.0, 3)))
+          for _ in range(n_scatterers)),
+        lidar_points_per_scatterer=k, lidar_jitter_sigma=0.03, n_frames=4, seed=8,
+    )
+    for f in (0, 3):
+        got, want = synth_lidar(scene, f), oracle_synth_lidar(scene, f)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.labels, want.labels)
+
+
 def test_synth_lidar_zero_jitter_is_exact():
     scene = _scene(
         Scatterer(position=(2.0, 0.5, -0.1)),
@@ -223,6 +252,84 @@ def test_synth_flow_skips_points_behind_camera():
     )
     flow = synth_flow(scene, 0, _identity_camera())
     assert not flow.covered.any()
+
+
+def _assert_flow_matches_oracle(scene, camera, frame_index=0):
+    got = synth_flow(scene, frame_index, camera)
+    want, behind = oracle_synth_flow(scene, frame_index, camera)
+    assert np.array_equal(got.flow, want.flow)
+    assert np.array_equal(got.covered, want.covered)
+    assert got.dt == want.dt
+    return got, behind
+
+
+def test_synth_flow_nearest_depth_wins_a_shared_pixel():
+    # three scatterers on one ray through pixel (240, 370): the middle one is
+    # nearest, the farthest comes first in point order
+    camera = _identity_camera()
+    scene = _scene(
+        Scatterer(position=(0.3, 0.0, 3.0), velocity=(0.4, 0.0, 0.0)),
+        Scatterer(position=(0.1, 0.0, 1.0), velocity=(0.0, 0.2, 0.0)),
+        Scatterer(position=(0.2, 0.0, 2.0), velocity=(-0.3, 0.0, 0.0)),
+        lidar_points_per_scatterer=3, lidar_jitter_sigma=0.0,
+    )
+    flow, _ = _assert_flow_matches_oracle(scene, camera)
+    assert flow.covered.sum() == 1 and flow.covered[240, 370]
+    assert flow.flow[240, 370] == pytest.approx([0.0, 10.0], abs=1e-4)
+
+
+def test_synth_flow_depth_tie_goes_to_lowest_point_index():
+    # two scatterers at the same spot moving apart: equal depths, different flow
+    camera = _identity_camera()
+    scene = _scene(
+        Scatterer(position=(0.0, 0.0, 2.0), velocity=(0.2, 0.0, 0.0)),
+        Scatterer(position=(0.0, 0.0, 2.0), velocity=(-0.2, 0.0, 0.0)),
+        lidar_points_per_scatterer=2, lidar_jitter_sigma=0.0,
+    )
+    flow, _ = _assert_flow_matches_oracle(scene, camera)
+    assert flow.flow[240, 320] == pytest.approx([5.0, 0.0], abs=1e-4)
+
+
+def test_synth_flow_skips_off_image_and_one_frame_behind(caplog):
+    # off the image; behind the camera only in the later frame; behind only in
+    # the earlier frame; and one point that is splatted
+    camera = _identity_camera()
+    scene = _scene(
+        Scatterer(position=(5.0, 0.0, 1.0)),
+        Scatterer(position=(0.0, 0.0, 0.05), velocity=(0.0, 0.0, -1.0)),
+        Scatterer(position=(0.0, 0.0, -0.05), velocity=(0.0, 0.0, 1.0)),
+        Scatterer(position=(0.0, 0.1, 2.0)),
+        lidar_points_per_scatterer=4, lidar_jitter_sigma=0.0,
+    )
+    with caplog.at_level(logging.INFO, logger="velofusion.sim"):
+        flow, behind = _assert_flow_matches_oracle(scene, camera)
+    assert behind == 8
+    assert "skipped 8 points behind the camera" in caplog.text
+    assert flow.covered.sum() == 1 and flow.covered[265, 320]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_synth_flow_matches_oracle_with_rotated_camera(seed):
+    # dense jittered objects around a rotated, translated camera: many points
+    # share pixels, some fall behind or off the image
+    rng = np.random.default_rng(seed)
+    camera = CameraModel(fx=300.0, fy=320.0, cx=80.0, cy=60.0, width=160, height=120,
+                         rotation=random_rotation(rng, max_angle=0.6),
+                         translation=rng.uniform(-0.3, 0.3, 3))
+    scene = _scene(
+        *(Scatterer(position=(rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0),
+                              rng.uniform(-0.5, 4.0)),
+                    velocity=tuple(rng.uniform(-2.0, 2.0, 3)))
+          for _ in range(8)),
+        lidar_points_per_scatterer=200, lidar_jitter_sigma=0.05, n_frames=3, seed=seed,
+    )
+    for f in (0, 1):
+        _assert_flow_matches_oracle(scene, camera, f)
+
+
+def test_synth_flow_empty_scene():
+    flow, behind = _assert_flow_matches_oracle(_scene(n_frames=2), _identity_camera())
+    assert not flow.covered.any() and behind == 0
 
 
 def test_synth_flow_needs_a_next_frame():
