@@ -13,16 +13,12 @@ from .cube import (
     bin_to_physical,
     build_radar_cube,
     doppler_bin_velocities,
-    hanning_weights,
     threshold_cube,
 )
 from .fusion import (
     DEFAULT_COND_BOUND,
-    DegenerateGeometryError,
     estimate_frame,
-    project_points,
     read_flow,
-    solve_full_velocity,
     solve_velocities,
 )
 from .io import (
@@ -66,6 +62,7 @@ from .types import (
     PointCloud,
     PointStatus,
     VelocityPointCloud,
+    project_points,
 )
 from .velcube import (
     ContextWindow,

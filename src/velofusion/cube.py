@@ -93,13 +93,6 @@ class RadarCube:
             raise ValueError("cube magnitudes must be non-negative")
 
 
-def hanning_weights(n: int) -> np.ndarray:
-    """Hanning window w[i] = 0.5 * (1 - cos(2 pi i / (n - 1))) for n >= 2."""
-    if n < 2:
-        raise ValueError(f"window length must be >= 2, got {n}")
-    return np.hanning(n)
-
-
 def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
     """Transform an ADC tensor into a (range, azimuth, elevation, doppler) cube.
 
@@ -113,8 +106,8 @@ def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
             f"ADC shape {adc.samples.shape} does not match config "
             f"(chirps, samples, az, el) = {expected}"
         )
-    w_chirp = hanning_weights(cfg.n_chirps).astype(np.float32)
-    w_sample = hanning_weights(cfg.n_samples).astype(np.float32)
+    w_chirp = np.hanning(cfg.n_chirps).astype(np.float32)
+    w_sample = np.hanning(cfg.n_samples).astype(np.float32)
     x = adc.samples * w_chirp[:, None, None, None]
     x *= w_sample[None, :, None, None]
 

@@ -19,7 +19,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import CameraModel, FlowField, FramePair, PointCloud, PointStatus, VelocityPointCloud
+from .types import (
+    CameraModel,
+    FlowField,
+    FramePair,
+    PointCloud,
+    PointStatus,
+    VelocityPointCloud,
+    nearest_pixels,
+    project_points,
+)
 from .velcube import (
     ContextWindow,
     VelocityCube,
@@ -32,41 +41,16 @@ from .velcube import (
 DEFAULT_COND_BOUND = 1e6
 
 
-class DegenerateGeometryError(RuntimeError):
-    """Raised when the constraint matrix is too ill-conditioned to invert."""
-
-
-def project_points(points: np.ndarray, camera: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized pinhole projection of radar-frame points.
-
-    Returns (u, v, depth) arrays; u/v are NaN wherever depth <= 0 (behind the
-    camera, no pixel).
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    cam = pts @ camera.rotation.T + camera.translation
-    depth = cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = camera.fx * cam[:, 0] / depth + camera.cx
-        v = camera.fy * cam[:, 1] / depth + camera.cy
-    u = np.where(depth > 0, u, np.nan)
-    v = np.where(depth > 0, v, np.nan)
-    return u, v, depth
-
-
 def read_flow(flow: FlowField, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flow vectors (N, 2) at the nearest pixels to (u, v), and a mask of the
     points that land on a covered pixel; the rest read zero flow. NaN
     coordinates (no pixel) are never covered.
     """
-    col = np.floor(np.asarray(u, dtype=np.float64) + 0.5)
-    row = np.floor(np.asarray(v, dtype=np.float64) + 0.5)
-    h, w = flow.covered.shape
-    on_image = np.flatnonzero((col >= 0) & (col < w) & (row >= 0) & (row < h))
-    pixels = (row[on_image].astype(np.int64), col[on_image].astype(np.int64))
-    covered = np.zeros(len(col), dtype=bool)
-    covered[on_image] = flow.covered[pixels]
-    flow_vec = np.zeros((len(col), 2))
-    flow_vec[on_image] = flow.flow[pixels]  # uncovered pixels hold zero flow
+    on_image, rows, cols = nearest_pixels(u, v, flow.covered.shape)
+    covered = np.zeros(len(u), dtype=bool)
+    covered[on_image] = flow.covered[rows, cols]
+    flow_vec = np.zeros((len(u), 2))
+    flow_vec[on_image] = flow.flow[rows, cols]  # uncovered pixels hold zero flow
     return flow_vec, covered
 
 
@@ -107,24 +91,6 @@ def solve_velocities(
     velocities = np.zeros((len(p), 3))
     velocities[solved] = np.linalg.solve(m[solved], rhs[solved, :, None])[:, :, 0]
     return velocities, solved
-
-
-def solve_full_velocity(
-    p_norm: tuple[float, float],
-    q_cam: np.ndarray,
-    r_hat: np.ndarray,
-    r_dot: float,
-    pair: FramePair,
-    cond_bound: float = DEFAULT_COND_BOUND,
-) -> np.ndarray:
-    """solve_velocities for one point; raises DegenerateGeometryError when
-    its constraint matrix is not solved."""
-    velocities, solved = solve_velocities(p_norm, q_cam, r_hat, [r_dot], pair, cond_bound)
-    if not solved[0]:
-        raise DegenerateGeometryError(
-            f"constraint matrix condition number is not finite or reaches {cond_bound:.3e}"
-        )
-    return velocities[0]
 
 
 def estimate_frame(

@@ -19,7 +19,7 @@ import json
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import BinaryIO
 
@@ -156,23 +156,51 @@ def _reject_extras(obj: dict, where: str) -> None:
         raise FormatError(f"{where}: unknown keys {sorted(obj)}")
 
 
+def _number(value, where: str, key: str) -> float:
+    """A finite JSON number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise FormatError(f"{where}: '{key}' must be a finite number, got {value!r}")
+    return value
+
+
+def _non_negative_int(value, where: str, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FormatError(f"{where}: '{key}' must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _bool(value, where: str, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise FormatError(f"{where}: '{key}' must be true or false, got {value!r}")
+    return value
+
+
+# Type checks by annotation (the dataclasses' modules postpone annotations, so
+# these are strings); fields of any other type are checked by the dataclass.
+_FIELD_CHECKS = {"int": _non_negative_int, "float": _number, "bool": _bool}
+
+
+def _take_fields(obj: dict, where: str, cls) -> dict:
+    """Take every field of dataclass cls that obj sets out of obj, with int
+    fields checked to be integers >= 0, float fields finite numbers and bool
+    fields JSON booleans."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in obj:
+            check = _FIELD_CHECKS.get(f.type)
+            value = obj.pop(f.name)
+            kwargs[f.name] = check(value, where, f.name) if check else value
+    return kwargs
+
+
 def radar_config_to_dict(cfg: RadarConfig) -> dict:
     return asdict(cfg)
 
 
 def radar_config_from_dict(obj: dict, where: str) -> RadarConfig:
     obj = _object(obj, where)
-    kwargs = {}
-    for name in ("n_samples", "n_chirps", "n_azimuth_bins", "n_elevation_bins",
-                 "range_resolution", "speed_resolution", "azimuth_fov",
-                 "elevation_fov", "threshold_db", "one_sided_range"):
-        if name in obj:
-            kwargs[name] = obj.pop(name)
-    # Degree aliases for hand-written files.
-    if "azimuth_fov_deg" in obj:
-        kwargs["azimuth_fov"] = math.radians(obj.pop("azimuth_fov_deg"))
-    if "elevation_fov_deg" in obj:
-        kwargs["elevation_fov"] = math.radians(obj.pop("elevation_fov_deg"))
+    kwargs = _take_fields(obj, where, RadarConfig)
     _reject_extras(obj, where)
     try:
         return RadarConfig(**kwargs)
@@ -200,21 +228,12 @@ def default_camera() -> CameraModel:
 
 
 def camera_from_dict(obj: dict, where: str) -> CameraModel:
+    """A camera from its JSON object; unset fields keep default_camera()'s."""
     obj = _object(obj, where)
-    base = default_camera()
-    kwargs = {
-        "fx": _take(obj, where, "fx", base.fx),
-        "fy": _take(obj, where, "fy", base.fy),
-        "cx": _take(obj, where, "cx", base.cx),
-        "cy": _take(obj, where, "cy", base.cy),
-        "width": _take(obj, where, "width", base.width),
-        "height": _take(obj, where, "height", base.height),
-        "rotation": np.asarray(_take(obj, where, "rotation", base.rotation)),
-        "translation": np.asarray(_take(obj, where, "translation", base.translation)),
-    }
+    kwargs = _take_fields(obj, where, CameraModel)
     _reject_extras(obj, where)
     try:
-        return CameraModel(**kwargs)
+        return replace(default_camera(), **kwargs)
     except (TypeError, ValueError) as err:
         raise FormatError(f"{where}: {err}") from None
 
@@ -239,20 +258,12 @@ def load_scene(path: str | Path) -> tuple[SceneConfig, RadarConfig, CameraModel]
             scatterers.append(Scatterer(tuple(pos), tuple(vel), amp))
         except (TypeError, ValueError) as err:
             raise FormatError(f"{swhere}: {err}") from None
-    kwargs = {
-        "scatterers": tuple(scatterers),
-        "frame_interval": _take(obj, where, "frame_interval", 0.1),
-        "n_frames": _take(obj, where, "n_frames", 2),
-        "noise_floor": _take(obj, where, "noise_floor", 0.0),
-        "lidar_points_per_scatterer": _take(obj, where, "lidar_points_per_scatterer", 100),
-        "lidar_jitter_sigma": _take(obj, where, "lidar_jitter_sigma", 0.02),
-        "seed": _take(obj, where, "seed", 0),
-    }
+    kwargs = _take_fields(obj, where, SceneConfig)
     radar_obj = _take(obj, where, "radar", {})
     camera_obj = _take(obj, where, "camera", {})
     _reject_extras(obj, where)
     try:
-        scene = SceneConfig(**kwargs)
+        scene = SceneConfig(tuple(scatterers), **kwargs)
     except (TypeError, ValueError) as err:
         raise FormatError(f"{where}: {err}") from None
     radar = radar_config_from_dict(radar_obj, f"{where}: radar")
@@ -313,20 +324,6 @@ def write_frame_sequence(
         if bundle.ground_truth is not None:
             write_tensor(fdir / "gt_velocities.crlv", bundle.ground_truth.velocities)
         _write_json(fdir / "meta.json", meta)
-
-
-def _number(value, where: str, key: str) -> float:
-    """A finite JSON number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise FormatError(f"{where}: '{key}' must be a finite number, got {value!r}")
-    return value
-
-
-def _non_negative_int(value, where: str, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise FormatError(f"{where}: '{key}' must be an integer >= 0, got {value!r}")
-    return value
 
 
 def _read_manifest(base: Path, kind: str) -> tuple[dict, str, float]:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -190,14 +190,7 @@ class MetricsReport:
                 raise ValueError(f"{name} must lie in [0, 180]")
 
     def to_dict(self) -> dict:
-        return {
-            "ave": self.ave,
-            "ave_radial": self.ave_radial,
-            "ave_tangential": self.ave_tangential,
-            "avae_deg": self.avae_deg,
-            "avae_weighted_deg": self.avae_weighted_deg,
-            "n_frames": self.n_frames,
-        }
+        return asdict(self)
 
 
 def ave(estimates: np.ndarray, truths: np.ndarray) -> float:
@@ -226,12 +219,10 @@ def decompose_radial_tangential(
     return radial, vel - radial
 
 
-def angular_errors(
-    estimates: np.ndarray, truths: np.ndarray, eps: float = ANGLE_EPS
-) -> tuple[np.ndarray, np.ndarray, int]:
+def angular_errors(estimates: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-pair angle in degrees plus ground-truth-norm weights.
 
-    Pairs where either vector's norm falls below eps are excluded; the
+    Pairs where either vector's norm falls below ANGLE_EPS are excluded; the
     third return value is how many were dropped.
     """
     est = np.asarray(estimates, dtype=np.float64).reshape(-1, 3)
@@ -240,7 +231,7 @@ def angular_errors(
         raise ValueError(f"shape mismatch: {est.shape} vs {gt.shape}")
     norm_est = np.linalg.norm(est, axis=1)
     norm_gt = np.linalg.norm(gt, axis=1)
-    keep = (norm_est >= eps) & (norm_gt >= eps)
+    keep = (norm_est >= ANGLE_EPS) & (norm_gt >= ANGLE_EPS)
     excluded = int(np.sum(~keep))
     cos = np.sum(est[keep] * gt[keep], axis=1) / (norm_est[keep] * norm_gt[keep])
     angles = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))

@@ -25,8 +25,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cube import AdcCube, RadarConfig
-from .fusion import project_points
-from .types import CameraModel, FlowField, PointCloud, PointStatus, VelocityPointCloud
+from .types import (
+    CameraModel,
+    FlowField,
+    PointCloud,
+    PointStatus,
+    VelocityPointCloud,
+    nearest_pixels,
+    project_points,
+)
 from .velcube import cartesian_to_polar
 
 logger = logging.getLogger(__name__)
@@ -96,13 +103,11 @@ def advance_scene(scene: SceneConfig, n_frames: int = 1) -> SceneConfig:
     return replace(scene, scatterers=moved, n_frames=scene.n_frames - n_frames)
 
 
-def _positions_at(scene: SceneConfig, frame_index: int) -> np.ndarray:
-    t = frame_index * scene.frame_interval
-    if not scene.scatterers:
-        return np.zeros((0, 3))
-    pos = np.array([s.position for s in scene.scatterers], dtype=np.float64)
-    vel = np.array([s.velocity for s in scene.scatterers], dtype=np.float64)
-    return pos + t * vel
+def _scatterer_arrays(scene: SceneConfig, frame_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Positions at frame_index and velocities of the scatterers, (n, 3) each."""
+    pos = np.array([s.position for s in scene.scatterers], dtype=np.float64).reshape(-1, 3)
+    vel = np.array([s.velocity for s in scene.scatterers], dtype=np.float64).reshape(-1, 3)
+    return pos + frame_index * scene.frame_interval * vel, vel
 
 
 def _check_frame_index(scene: SceneConfig, frame_index: int) -> None:
@@ -116,7 +121,7 @@ def simulate_adc(scene: SceneConfig, frame_index: int, cfg: RadarConfig) -> AdcC
     shape = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins, cfg.n_elevation_bins)
     acc = np.zeros(shape, dtype=np.complex128)
 
-    positions = _positions_at(scene, frame_index)
+    positions, velocities = _scatterer_arrays(scene, frame_index)
     chirps = np.arange(cfg.n_chirps)
     samples = np.arange(cfg.n_samples)
     az_ant = np.arange(cfg.n_azimuth_bins)
@@ -129,7 +134,7 @@ def simulate_adc(scene: SceneConfig, frame_index: int, cfg: RadarConfig) -> AdcC
                 f"scatterer {i} at range {rng_m:.3f} m exceeds max range "
                 f"{cfg.max_range:.3f} m at frame {frame_index}"
             )
-        v_radial = float(np.dot(scat.velocity, positions[i] / rng_m))
+        v_radial = float(np.dot(velocities[i], positions[i] / rng_m))
         if abs(v_radial) >= cfg.max_speed:
             raise ValueError(
                 f"scatterer {i} radial velocity {v_radial:.3f} m/s exceeds the "
@@ -163,7 +168,7 @@ def synth_lidar(scene: SceneConfig, frame_index: int) -> PointCloud:
     n = len(scene.scatterers)
     # One draw for all scatterers: the same stream as k x 3 draws per scatterer.
     jitter = scene.lidar_jitter_sigma * rng.standard_normal((n * k, 3))
-    positions = np.repeat(_positions_at(scene, frame_index), k, axis=0) + jitter
+    positions = np.repeat(_scatterer_arrays(scene, frame_index)[0], k, axis=0) + jitter
     return PointCloud(positions, np.repeat(np.arange(n, dtype=np.int64), k))
 
 
@@ -183,18 +188,16 @@ def synth_flow(scene: SceneConfig, frame_index: int, camera: CameraModel) -> Flo
             f"{scene.n_frames} frames"
         )
     cloud = synth_lidar(scene, frame_index)
-    vel = np.array([s.velocity for s in scene.scatterers], dtype=np.float64).reshape(-1, 3)
+    vel = _scatterer_arrays(scene)[1]
     later = cloud.positions + scene.frame_interval * vel[cloud.labels]
 
     u0, v0, z0 = project_points(cloud.positions, camera)
     u1, v1, z1 = project_points(later, camera)
     front = np.flatnonzero((z0 > 0) & (z1 > 0))
     behind = len(cloud) - len(front)
-    col = np.floor(u0[front] + 0.5)
-    row = np.floor(v0[front] + 0.5)
-    on_image = (col >= 0) & (col < camera.width) & (row >= 0) & (row < camera.height)
+    on_image, rows, cols = nearest_pixels(u0[front], v0[front], (camera.height, camera.width))
     points = front[on_image]
-    pixels = row[on_image].astype(np.int64) * camera.width + col[on_image].astype(np.int64)
+    pixels = rows * camera.width + cols
     # Z-buffer: per pixel the nearest earlier-frame depth wins, the lowest
     # point index on a tie (the sort is stable and points are in index order).
     order = np.lexsort((z0[points], pixels))
@@ -223,7 +226,6 @@ def ground_truth_velocities(scene: SceneConfig, cloud: PointCloud) -> VelocityPo
         raise ValueError(
             f"labels {sorted(set(cloud.labels[bad]))} outside [0, {n}) are unlabeled"
         )
-    vel = np.array([s.velocity for s in scene.scatterers], dtype=np.float64)
-    velocities = vel[cloud.labels] if len(cloud) else np.zeros((0, 3))
+    velocities = _scatterer_arrays(scene)[1][cloud.labels]
     status = np.full(len(cloud), PointStatus.OK, dtype=np.uint8)
     return VelocityPointCloud(cloud.positions.copy(), velocities, status)

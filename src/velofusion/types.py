@@ -94,12 +94,45 @@ class CameraModel:
             raise ValueError(f"translation must be a 3-vector, got {self.translation.shape}")
 
 
+def project_points(points: np.ndarray, camera: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized pinhole projection of radar-frame points.
+
+    Returns (u, v, depth) arrays; u/v are NaN wherever depth <= 0 (behind the
+    camera, no pixel).
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    cam = pts @ camera.rotation.T + camera.translation
+    depth = cam[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = camera.fx * cam[:, 0] / depth + camera.cx
+        v = camera.fy * cam[:, 1] / depth + camera.cy
+    u = np.where(depth > 0, u, np.nan)
+    v = np.where(depth > 0, v, np.nan)
+    return u, v, depth
+
+
+def nearest_pixels(u: np.ndarray, v: np.ndarray, shape: tuple[int, int]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pixel each image coordinate (u, v) lands on: the nearest one, with
+    halves rounded up, on an image of shape (height, width).
+
+    Returns (on_image, rows, cols): the indices of the coordinates that land
+    on the image, in order, and their int64 pixel rows and columns. NaN
+    coordinates (no pixel) never land on it.
+    """
+    col, row = np.floor(np.asarray([u, v], dtype=np.float64) + 0.5)
+    height, width = shape
+    on_image = np.flatnonzero((col >= 0) & (col < width) & (row >= 0) & (row < height))
+    return on_image, row[on_image].astype(np.int64), col[on_image].astype(np.int64)
+
+
 @dataclass
 class FlowField:
     """Dense optical flow between two frames separated by dt seconds.
 
     flow[row, col] is the pixel displacement (du, dv) of whatever surface
-    covers that pixel in the earlier frame. Uncovered pixels hold (0, 0).
+    covers that pixel in the earlier frame. Covered pixels hold finite flow,
+    uncovered pixels (0, 0).
     """
 
     flow: np.ndarray       # (H, W, 2) float32, pixels
@@ -118,8 +151,11 @@ class FlowField:
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         # Counted in place: no full-image temporaries for a sparse field.
-        if np.count_nonzero(self.flow) != np.count_nonzero(self.flow[self.covered]):
+        on_covered = self.flow[self.covered]
+        if np.count_nonzero(self.flow) != np.count_nonzero(on_covered):
             raise ValueError("uncovered pixels must carry zero flow")
+        if not np.isfinite(on_covered).all():
+            raise ValueError("covered pixels must carry finite flow")
 
 
 @dataclass

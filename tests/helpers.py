@@ -9,9 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from velofusion.cube import RadarConfig
-from velofusion.fusion import project_points
 from velofusion.metrics import ASSOCIATION_GATE, ObjectTrack, TrackFrame, cluster_points
-from velofusion.types import FlowField, PointCloud, PointStatus
+from velofusion.types import FlowField, PointCloud, PointStatus, project_points
 
 
 def hanning_closed_form(n: int) -> np.ndarray:
@@ -350,3 +349,33 @@ def random_rotation(rng: np.random.Generator, max_angle: float = 0.3) -> np.ndar
         [-axis[1], axis[0], 0],
     ])
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
+
+# Scene-file values of the wrong JSON type, as (block, key, value): block is
+# None for a top-level key, else "radar" or "camera". Integer fields take no
+# float (not even 16.0) and no bool, float fields only finite numbers, and
+# one_sided_range only a bool.
+BAD_SCENE_FIELDS = [
+    (None, "noise_floor", True),
+    (None, "frame_interval", "0.1"),
+    ("radar", "threshold_db", True),
+    ("radar", "range_resolution", float("inf")),
+    ("camera", "fx", "600"),
+    (None, "n_frames", 2.5),
+    (None, "n_frames", True),
+    (None, "lidar_points_per_scatterer", 2.5),
+    (None, "seed", 1.5),
+    ("radar", "n_samples", 32.5),
+    ("radar", "n_chirps", 16.0),
+    ("camera", "width", 160.5),
+    ("camera", "height", False),
+    ("radar", "one_sided_range", "yes"),
+    ("radar", "one_sided_range", 1),
+]
+
+
+def set_scene_field(scene: dict, block: str | None, key: str, value) -> dict:
+    """The scene dict with one key set, at the top level or in a block."""
+    target = scene if block is None else scene.setdefault(block, {})
+    target[key] = value
+    return scene

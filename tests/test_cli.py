@@ -15,6 +15,8 @@ from velofusion.io import read_frame_sequence, read_tensor, read_velocity_sequen
 from velofusion.types import FramePair
 from velofusion.velcube import ContextWindow, collapse_doppler
 
+from helpers import BAD_SCENE_FIELDS, set_scene_field
+
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
@@ -140,6 +142,36 @@ def test_non_finite_scene_fails_cleanly(tmp_path, capsys, bad):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "scatterers[0]: non-finite position" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("block, key, value", BAD_SCENE_FIELDS)
+def test_wrong_field_type_scene_fails_cleanly(tmp_path, capsys, block, key, value):
+    scene = tmp_path / "scene.json"
+    obj = json.loads((SCENES / "tiny.json").read_text())
+    scene.write_text(json.dumps(set_scene_field(obj, block, key, value)))
+    code = main(["simulate", "--scene", str(scene), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{key}' must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_flow_fails_cleanly(pipeline_dirs, tmp_path, capsys):
+    frames, _, _ = pipeline_dirs
+    edited = tmp_path / "frames"
+    shutil.copytree(frames, edited)
+    fdir = edited / "frame_000002"
+    flow = read_tensor(fdir / "flow.crlv")
+    row, col = np.argwhere(read_tensor(fdir / "flow_covered.crlv"))[0]
+    flow[row, col, 0] = np.nan
+    write_tensor(fdir / "flow.crlv", flow)
+    capsys.readouterr()
+    code = main(["process", "--in", str(edited), "--out", str(tmp_path / "vel")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "frame_000002: covered pixels must carry finite flow" in err
 
 
 @pytest.mark.parametrize("command, manifest, key, value", [

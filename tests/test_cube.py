@@ -7,12 +7,11 @@ from velofusion.cube import (
     bin_to_physical,
     build_radar_cube,
     doppler_bin_velocities,
-    hanning_weights,
     threshold_cube,
 )
 from velofusion.sim import Scatterer, SceneConfig, simulate_adc
 
-from helpers import dft_cube_oracle, hanning_closed_form
+from helpers import dft_cube_oracle
 
 SMALL = RadarConfig(
     n_samples=16,
@@ -20,27 +19,6 @@ SMALL = RadarConfig(
     n_azimuth_bins=8,
     n_elevation_bins=4,
 )
-
-
-def test_hanning_small_values():
-    assert np.allclose(hanning_weights(3), [0.0, 1.0, 0.0])
-    assert np.allclose(hanning_weights(5), [0.0, 0.5, 1.0, 0.5, 0.0])
-
-
-def test_hanning_matches_closed_form():
-    for n in (2, 7, 32, 128):
-        assert np.allclose(hanning_weights(n), hanning_closed_form(n), atol=1e-12)
-
-
-def test_hanning_symmetry():
-    for n in (16, 33):
-        w = hanning_weights(n)
-        assert np.allclose(w, w[::-1], atol=1e-15)
-
-
-def test_hanning_rejects_short_windows():
-    with pytest.raises(ValueError):
-        hanning_weights(1)
 
 
 def test_config_derived_quantities():
@@ -223,7 +201,7 @@ def test_hanning_beats_rectangular_on_sidelobes():
         outside = np.concatenate([spec[:lo], spec[hi + 1:]])
         return 20.0 * np.log10(spec[k] / outside.max())
 
-    hann = largest_sidelobe_db(hanning_weights(64))
+    hann = largest_sidelobe_db(np.hanning(64))
     rect = largest_sidelobe_db(np.ones(64))
     assert hann >= 30.0
     assert rect >= 12.0

@@ -4,17 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from velofusion.cube import RadarConfig, build_radar_cube, threshold_cube
-from velofusion.fusion import (
-    DegenerateGeometryError,
-    estimate_frame,
-    project_points,
-    read_flow,
-    solve_full_velocity,
-    solve_velocities,
-)
+from velofusion.fusion import estimate_frame, read_flow, solve_velocities
 from velofusion.io import default_camera
 from velofusion.sim import Scatterer, SceneConfig, synth_flow, synth_lidar, simulate_adc
-from velofusion.types import CameraModel, FlowField, FramePair, PointCloud, PointStatus
+from velofusion.types import (
+    CameraModel,
+    FlowField,
+    FramePair,
+    PointCloud,
+    PointStatus,
+    project_points,
+)
 from velofusion.velcube import ContextWindow, VelocityCube, collapse_doppler, query_radial_velocity
 
 from helpers import oracle_estimate_frame, random_rotation
@@ -84,32 +84,46 @@ def test_flow_field_rejects_flow_on_uncovered_pixels():
             FlowField(field, covered, 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_flow_field_rejects_non_finite_covered_flow(bad):
+    flow = np.zeros((4, 5, 2), dtype=np.float32)
+    covered = np.zeros((4, 5), dtype=bool)
+    covered[1, 2] = covered[3, 4] = True
+    flow[1, 2] = (0.5, 0.0)
+    flow[3, 4, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        FlowField(flow, covered, 0.1)
+
+
+def _solve_one(p_norm, q, r_hat, r_dot, pair):
+    """solve_velocities for one point (one-row arrays): (velocity (3,), solved)."""
+    vel, solved = solve_velocities(p_norm, q, r_hat, [r_dot], pair)
+    return vel[0], bool(solved[0])
+
+
 def test_solve_stationary_point_is_zero():
     q = np.array([0.5, -0.2, 2.0])
-    vel = solve_full_velocity((0.25, -0.1), q, q / np.linalg.norm(q), 0.0, FramePair())
+    vel, solved = _solve_one((0.25, -0.1), q, q / np.linalg.norm(q), 0.0, FramePair())
+    assert solved
     assert np.allclose(vel, 0.0, atol=1e-12)
 
 
 def test_solve_pure_radial_motion():
-    vel = solve_full_velocity(
-        (0.0, 0.0), np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.0]), 0.5, FramePair()
-    )
+    vel, solved = _solve_one((0.0, 0.0), [0.0, 0.0, 2.0], [0.0, 0.0, 1.0], 0.5, FramePair())
+    assert solved
     assert np.allclose(vel, [0.0, 0.0, 0.5], atol=1e-12)
 
 
 def test_solve_requires_unit_r_hat():
     with pytest.raises(ValueError, match="unit"):
-        solve_full_velocity(
-            (0.0, 0.0), np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.1]), 0.5, FramePair()
-        )
+        _solve_one((0.0, 0.0), [0.0, 0.0, 2.0], [0.0, 0.0, 1.1], 0.5, FramePair())
 
 
 def test_solve_degenerate_geometry():
     # r_hat lies in the span of the two flow rows: singular system
-    with pytest.raises(DegenerateGeometryError):
-        solve_full_velocity(
-            (0.0, 0.0), np.array([0.0, 0.0, 2.0]), np.array([1.0, 0.0, 0.0]), 0.5, FramePair()
-        )
+    vel, solved = _solve_one((0.0, 0.0), [0.0, 0.0, 2.0], [1.0, 0.0, 0.0], 0.5, FramePair())
+    assert not solved
+    assert np.all(vel == 0)
 
 
 def _forward_instance(rng):
@@ -141,9 +155,8 @@ def test_solve_round_trip_many():
         if inst is None:
             continue
         p_norm, q, r_hat, r_dot, pair, truth = inst
-        try:
-            vel = solve_full_velocity(p_norm, q, r_hat, r_dot, pair)
-        except DegenerateGeometryError:
+        vel, solved = _solve_one(p_norm, q, r_hat, r_dot, pair)
+        if not solved:
             continue
         assert np.linalg.norm(vel - truth) <= 1e-9 * max(np.linalg.norm(truth), 1.0)
         done += 1
@@ -159,7 +172,8 @@ def test_solve_is_frame_rate_invariant():
         p_norm = (p[0] / p[2], p[1] / p[2])
         los = rot.T @ q
         r_hat = los / np.linalg.norm(los)
-        vel = solve_full_velocity(p_norm, q, r_hat, float(r_hat @ truth), FramePair(rot, dt))
+        vel, solved = _solve_one(p_norm, q, r_hat, float(r_hat @ truth), FramePair(rot, dt))
+        assert solved
         assert np.allclose(vel, truth, atol=1e-10)
 
 
@@ -360,12 +374,8 @@ def test_solve_velocities_matches_one_point_solves():
     vel, solved = solve_velocities(p_norm, q, r_hat, r_dot, pair)
     assert not solved[0] and np.all(vel[0] == 0)
     for k in range(1, len(insts)):
-        try:
-            one = solve_full_velocity(p_norm[k], q[k], r_hat[k], r_dot[k], pair)
-        except DegenerateGeometryError:
-            assert not solved[k] and np.all(vel[k] == 0)
-            continue
-        assert solved[k]
+        one, one_solved = _solve_one(p_norm[k], q[k], r_hat[k], r_dot[k], pair)
+        assert solved[k] == one_solved
         np.testing.assert_array_equal(vel[k], one)
 
 

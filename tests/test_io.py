@@ -24,6 +24,8 @@ from velofusion.io import (
 from velofusion.metrics import MetricsReport
 from velofusion.sim import Scatterer, SceneConfig, ground_truth_velocities, synth_flow, synth_lidar, simulate_adc
 
+from helpers import BAD_SCENE_FIELDS, set_scene_field
+
 _HEADER = struct.Struct("<4sIII6Q")
 
 
@@ -136,7 +138,7 @@ def _demo_scene_dict():
         "lidar_points_per_scatterer": 12,
         "lidar_jitter_sigma": 0.01,
         "seed": 9,
-        "radar": {"n_chirps": 16, "azimuth_fov_deg": 60.0},
+        "radar": {"n_chirps": 16, "azimuth_fov": float(np.radians(60.0))},
         "camera": {"fx": 500.0, "fy": 500.0},
     }
 
@@ -217,6 +219,15 @@ def test_load_scene_invalid_values(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(FormatError, match="n_frames"):
+        load_scene(path)
+
+
+@pytest.mark.parametrize("block, key, value", BAD_SCENE_FIELDS)
+def test_load_scene_rejects_wrong_field_types(block, key, value, tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(set_scene_field(_demo_scene_dict(), block, key, value)))
+    where = "scene.json" if block is None else f"scene.json: {block}"
+    with pytest.raises(FormatError, match=f"{where}: '{key}' must be"):
         load_scene(path)
 
 
@@ -341,6 +352,32 @@ def test_frame_manifest_rejects_non_object_blocks(key, tmp_path):
     read, _ = _write_sequence("frames", tmp_path / "seq")
     _edit_json(tmp_path / "seq" / "manifest.json", **{key: 5})
     with pytest.raises(FormatError, match=f"manifest.json: {key}: expected a JSON object"):
+        read(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("radar", "n_elevation_bins", 4.0),
+    ("radar", "one_sided_range", 0),
+    ("camera", "height", 480.5),
+])
+def test_frame_manifest_rejects_wrong_field_types(block, key, value, tmp_path):
+    read, _ = _write_sequence("frames", tmp_path / "seq")
+    manifest = json.loads((tmp_path / "seq" / "manifest.json").read_text())
+    manifest[block][key] = value
+    (tmp_path / "seq" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"manifest.json: {block}: '{key}' must be"):
+        read(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_frame_sequence_rejects_non_finite_flow(bad, tmp_path):
+    read, _ = _write_sequence("frames", tmp_path / "seq")
+    fdir = tmp_path / "seq" / "frame_000001"
+    flow = read_tensor(fdir / "flow.crlv")
+    row, col = np.argwhere(read_tensor(fdir / "flow_covered.crlv"))[0]
+    flow[row, col, 1] = bad
+    write_tensor(fdir / "flow.crlv", flow)
+    with pytest.raises(FormatError, match="frame_000001: covered pixels must carry finite flow"):
         read(tmp_path / "seq")
 
 

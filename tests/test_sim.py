@@ -1,9 +1,13 @@
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from velofusion.cube import RadarConfig, build_radar_cube
+from velofusion.fusion import read_flow
 from velofusion.sim import (
     Scatterer,
     SceneConfig,
@@ -325,6 +329,76 @@ def test_synth_flow_matches_oracle_with_rotated_camera(seed):
     )
     for f in (0, 1):
         _assert_flow_matches_oracle(scene, camera, f)
+
+
+# A camera whose image coordinates are the point's x and y at depth 1, so
+# scatterers at z = 1 without jitter land on exact (u, v) values.
+UNIT_CAMERA = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=8, height=6)
+
+
+def _splat_and_read(uv):
+    """synth_flow over one point per (u, v) at depth 1, each with its own
+    velocity, and read_flow at the same coordinates."""
+    scene = _scene(
+        *(Scatterer(position=(u, v, 1.0), velocity=(0.1 * (i + 1), -0.05 * (i + 1), 0.0))
+          for i, (u, v) in enumerate(uv)),
+        lidar_points_per_scatterer=1, lidar_jitter_sigma=0.0,
+    )
+    flow = synth_flow(scene, 0, UNIT_CAMERA)
+    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
+    vec, covered = read_flow(flow, uv[:, 0], uv[:, 1])
+    return flow, vec, covered
+
+
+def test_synth_flow_writes_where_read_flow_reads():
+    # (u, v) -> (row, col), or None off the image: halves round up, so the
+    # last half pixel of each axis is off the image and -0.5 is on it.
+    cases = [
+        ((-0.5, 0.0), (0, 0)),
+        ((2.5, 1.5), (2, 3)),
+        ((3.5, -0.5), (0, 4)),
+        ((7.49, 4.0), (4, 7)),
+        ((6.0, 5.49), (5, 6)),
+        ((1.5, 4.5), (5, 2)),
+        ((0.49, 2.5), (3, 0)),
+        ((7.5, 1.0), None),     # u = width - 0.5
+        ((5.0, 5.5), None),     # v = height - 0.5
+        ((-0.51, 3.0), None),
+        ((4.0, -0.51), None),
+    ]
+    flow, vec, covered = _splat_and_read([uv for uv, _ in cases])
+    for i, (_, pixel) in enumerate(cases):
+        if pixel is None:
+            assert not covered[i]
+            continue
+        assert covered[i] and flow.covered[pixel]
+        np.testing.assert_array_equal(vec[i], flow.flow[pixel])
+        # the point's own displacement, not a neighbour's
+        np.testing.assert_allclose(vec[i], [0.01 * (i + 1), -0.005 * (i + 1)], rtol=1e-5)
+    assert flow.covered.sum() == sum(pixel is not None for _, pixel in cases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 2 * UNIT_CAMERA.width + 2),
+                          st.integers(-3, 2 * UNIT_CAMERA.height + 2)),
+                min_size=1, max_size=30))
+def test_synth_flow_and_read_flow_agree_on_half_pixels(halves):
+    # coordinates on the half-pixel grid around and across the image; points
+    # sharing a pixel tie on depth, so the lowest index writes it
+    uv = [(a / 2, b / 2) for a, b in halves]
+    flow, vec, covered = _splat_and_read(uv)
+    winners = {}
+    for i, (u, v) in enumerate(uv):
+        row, col = math.floor(v + 0.5), math.floor(u + 0.5)
+        on_image = 0 <= row < UNIT_CAMERA.height and 0 <= col < UNIT_CAMERA.width
+        assert covered[i] == on_image
+        if on_image:
+            winner = winners.setdefault((row, col), i)
+            np.testing.assert_array_equal(vec[i], vec[winner])
+            np.testing.assert_array_equal(vec[i], flow.flow[row, col])
+            np.testing.assert_allclose(vec[i], [0.01 * (winner + 1), -0.005 * (winner + 1)],
+                                       rtol=1e-5)
+    assert flow.covered.sum() == len(winners)
 
 
 def test_synth_flow_empty_scene():
