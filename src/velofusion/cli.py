@@ -79,7 +79,7 @@ def cmd_process(args: argparse.Namespace) -> int:
 
 def _load_eval_frames(est_dir: str, truth_dir: str) -> list[EvalFrame]:
     clouds, _ = read_velocity_sequence(est_dir)
-    bundles, _, _, _ = read_frame_sequence(truth_dir)
+    bundles, _, _, _ = read_frame_sequence(truth_dir, ("lidar", "ground_truth"))
     truth = {b.frame_index: b for b in bundles}
     missing = sorted(i for i in clouds if i not in truth)
     if missing:

@@ -21,7 +21,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Collection
 
 import numpy as np
 
@@ -365,9 +365,21 @@ def _frame_reader(base: Path, idx: int):
         raise FormatError(f"{fdir}: {err}") from None
 
 
+FRAME_COMPONENTS = ("adc", "lidar", "flow", "ground_truth")
+
+
 def read_frame_sequence(
     directory: str | Path,
+    components: Collection[str] = FRAME_COMPONENTS,
 ) -> tuple[list[FrameBundle], RadarConfig, CameraModel, float]:
+    """Read a frame sequence, decoding only the named FrameBundle components;
+    the others stay None and their tensors are not read. The manifest and
+    every frame's meta.json are checked either way."""
+    unknown = set(components) - set(FRAME_COMPONENTS)
+    if unknown:
+        raise ValueError(f"unknown frame components {sorted(unknown)}")
+    if "ground_truth" in components and "lidar" not in components:
+        raise ValueError("ground_truth needs the lidar component")
     base = Path(directory)
     manifest, where, frame_interval = _read_manifest(base, "frames")
     n_frames = _non_negative_int(_take(manifest, where, "n_frames", required=True),
@@ -382,18 +394,19 @@ def read_frame_sequence(
             flow_dt = _take(meta, mwhere, "flow_dt")
             _reject_extras(meta, mwhere)
             bundle = FrameBundle(frame_index=idx, timestamp=timestamp)
-            if (fdir / "adc.crlv").exists():
+            if "adc" in components and (fdir / "adc.crlv").exists():
                 bundle.adc = AdcCube(read_tensor(fdir / "adc.crlv"))
-            if (fdir / "lidar_positions.crlv").exists():
+            if "lidar" in components and (fdir / "lidar_positions.crlv").exists():
                 labels = None
                 if (fdir / "lidar_labels.crlv").exists():
                     labels = read_tensor(fdir / "lidar_labels.crlv")
                 bundle.lidar = PointCloud(read_tensor(fdir / "lidar_positions.crlv"), labels)
             if (fdir / "flow.crlv").exists():
                 flow_dt = _number(flow_dt, mwhere, "flow_dt")
-                covered = read_tensor(fdir / "flow_covered.crlv").astype(bool)
-                bundle.flow = FlowField(read_tensor(fdir / "flow.crlv"), covered, flow_dt)
-            if (fdir / "gt_velocities.crlv").exists():
+                if "flow" in components:
+                    covered = read_tensor(fdir / "flow_covered.crlv").astype(bool)
+                    bundle.flow = FlowField(read_tensor(fdir / "flow.crlv"), covered, flow_dt)
+            if "ground_truth" in components and (fdir / "gt_velocities.crlv").exists():
                 if bundle.lidar is None:
                     raise FormatError(f"{fdir}: ground truth without lidar positions")
                 vel = read_tensor(fdir / "gt_velocities.crlv")

@@ -115,47 +115,102 @@ def _check_frame_index(scene: SceneConfig, frame_index: int) -> None:
         raise ValueError(f"frame_index {frame_index} outside [0, {scene.n_frames})")
 
 
+def _radar_geometry(
+    positions: np.ndarray, velocities: np.ndarray, cfg: RadarConfig, frame_index: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(range, azimuth, elevation, radial velocity) of every scatterer.
+
+    Raises ValueError naming the first scatterer the radar cannot render and
+    its first failed check, in the order zero range, max range, angular field
+    of view, unambiguous speed. A scatterer outside the angular FoV would alias
+    to a ghost inside it.
+    """
+    x, y, z = positions.T
+    zero = np.flatnonzero(~(x * x + y * y + z * z > 0))
+    n_ok = zero[0] if len(zero) else len(positions)
+    rng_m, az, el = cartesian_to_polar(positions[:n_ok])
+    # A stack of (1, 3) @ (3, 1) products runs numpy's dot on each row, so the
+    # radial velocities have the bits of one np.dot per scatterer.
+    unit = positions[:n_ok] / rng_m[:, None]
+    v_radial = (velocities[:n_ok, None, :] @ unit[:, :, None])[:, 0, 0]
+    too_far = rng_m >= cfg.max_range
+    outside = (np.abs(az) > cfg.azimuth_fov / 2) | (np.abs(el) > cfg.elevation_fov / 2)
+    too_fast = np.abs(v_radial) >= cfg.max_speed
+    bad = np.flatnonzero(too_far | outside | too_fast)
+    at = f"at frame {frame_index}"
+    if len(bad):
+        i = bad[0]
+        if too_far[i]:
+            raise ValueError(f"scatterer {i} at range {rng_m[i]:.3f} m exceeds max range "
+                             f"{cfg.max_range:.3f} m {at}")
+        if outside[i]:
+            raise ValueError(
+                f"scatterer {i} at azimuth {np.degrees(az[i]):.1f} deg, elevation "
+                f"{np.degrees(el[i]):.1f} deg is outside the radar field of view "
+                f"+-{np.degrees(cfg.azimuth_fov) / 2:.1f} x "
+                f"+-{np.degrees(cfg.elevation_fov) / 2:.1f} deg {at}")
+        raise ValueError(
+            f"scatterer {i} radial velocity {v_radial[i]:.3f} m/s exceeds the "
+            f"unambiguous interval +-{cfg.max_speed:.3f} m/s {at}")
+    if n_ok < len(positions):
+        raise ValueError(f"scatterer {n_ok} at zero range has no direction {at}")
+    return rng_m, az, el, v_radial
+
+
+def _phase_ramps(freqs: np.ndarray, n: int) -> np.ndarray:
+    """(K, n) complex ramps exp(j 2 pi f k), k = 0..n-1, one row per frequency."""
+    return np.exp(2j * np.pi * freqs[:, None] * np.arange(n))
+
+
 def simulate_adc(scene: SceneConfig, frame_index: int, cfg: RadarConfig) -> AdcCube:
-    """Raw ADC tensor (chirp, sample, az antenna, el antenna) for one frame."""
+    """Raw ADC tensor (chirp, sample, az antenna, el antenna) for one frame.
+
+    The scatterers' separable ramps are summed as one complex128 matrix
+    product, (chirp x sample, K) @ (K, az x el) with the amplitudes in the
+    right factor. It runs in blocks of scatterers whose two factors take at
+    most a quarter of the accumulator's memory, and each block after the
+    first is added in slices of output rows, so no tensor-sized temporary
+    grows with the number of scatterers K.
+    The complex Gaussian noise draws the real part first, then the
+    imaginary part.
+    """
     _check_frame_index(scene, frame_index)
-    shape = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins, cfg.n_elevation_bins)
-    acc = np.zeros(shape, dtype=np.complex128)
-
+    n_c, n_s, n_a, n_e = shape = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins,
+                                  cfg.n_elevation_bins)
     positions, velocities = _scatterer_arrays(scene, frame_index)
-    chirps = np.arange(cfg.n_chirps)
-    samples = np.arange(cfg.n_samples)
-    az_ant = np.arange(cfg.n_azimuth_bins)
-    el_ant = np.arange(cfg.n_elevation_bins)
+    rng_m, az, el, v_radial = _radar_geometry(positions, velocities, cfg, frame_index)
+    amplitudes = np.array([s.amplitude for s in scene.scatterers], dtype=np.float64)
+    f_rng = rng_m / (cfg.range_resolution * cfg.n_samples)     # cycles / sample
+    f_dop = v_radial / (cfg.speed_resolution * cfg.n_chirps)    # cycles / chirp
+    f_az = az / cfg.azimuth_fov                                 # cycles / element
+    f_el = el / cfg.elevation_fov
 
-    for i, scat in enumerate(scene.scatterers):
-        rng_m, az, el = cartesian_to_polar(positions[i])
-        if rng_m >= cfg.max_range:
-            raise ValueError(
-                f"scatterer {i} at range {rng_m:.3f} m exceeds max range "
-                f"{cfg.max_range:.3f} m at frame {frame_index}"
-            )
-        v_radial = float(np.dot(velocities[i], positions[i] / rng_m))
-        if abs(v_radial) >= cfg.max_speed:
-            raise ValueError(
-                f"scatterer {i} radial velocity {v_radial:.3f} m/s exceeds the "
-                f"unambiguous interval +-{cfg.max_speed:.3f} m/s at frame {frame_index}"
-            )
-        f_rng = rng_m / (cfg.range_resolution * cfg.n_samples)   # cycles / sample
-        f_dop = v_radial / (cfg.speed_resolution * cfg.n_chirps)  # cycles / chirp
-        f_az = az / cfg.azimuth_fov                               # cycles / element
-        f_el = el / cfg.elevation_fov
-        acc += scat.amplitude * np.einsum(
-            "c,s,a,e->csae",
-            np.exp(2j * np.pi * f_dop * chirps),
-            np.exp(2j * np.pi * f_rng * samples),
-            np.exp(2j * np.pi * f_az * az_ant),
-            np.exp(2j * np.pi * f_el * el_ant),
-        )
+    n_rows, n_cols = n_c * n_s, n_a * n_e
+    acc = np.zeros((n_rows, n_cols), dtype=np.complex128)
+    block = max(1, acc.size // (4 * (n_rows + n_cols)))
+    rows = max(1, n_rows // 8)
+    for lo in range(0, len(amplitudes), block):
+        part = slice(lo, lo + block)
+        left = (_phase_ramps(f_dop[part], n_c)[:, :, None]
+                * _phase_ramps(f_rng[part], n_s)[:, None, :]).reshape(-1, n_rows)
+        right = ((amplitudes[part, None] * _phase_ramps(f_az[part], n_a))[:, :, None]
+                 * _phase_ramps(f_el[part], n_e)[:, None, :]).reshape(-1, n_cols)
+        if lo == 0:
+            np.matmul(left.T, right, out=acc)
+            continue
+        for r in range(0, n_rows, rows):
+            acc[r:r + rows] += left[:, r:r + rows].T @ right
+    acc = acc.reshape(shape)
 
     if scene.noise_floor > 0:
         rng = np.random.default_rng([scene.seed, frame_index, _NOISE_STREAM])
         scale = scene.noise_floor / np.sqrt(2.0)
-        acc += scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        noise = rng.standard_normal(shape)
+        noise *= scale
+        acc.real += noise
+        rng.standard_normal(out=noise)
+        noise *= scale
+        acc.imag += noise
 
     return AdcCube(acc.astype(np.complex64))
 

@@ -240,6 +240,70 @@ def oracle_cluster_points(points: np.ndarray, eps: float, min_points: int) -> np
     return float(best), True
 
 
+def oracle_simulate_adc(scene, frame_index: int, cfg: RadarConfig) -> np.ndarray:
+    """The per-scatterer ADC render: one complex128 outer product of the four
+    phase ramps per scatterer, summed in scatterer order, then the noise.
+
+    Checks each scatterer in turn (zero range, max range, angular FoV,
+    unambiguous speed) and raises ValueError("scatterer i: <check>") at the
+    first failure. Returns the complex64 samples.
+    """
+    shape = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins, cfg.n_elevation_bins)
+    acc = np.zeros(shape, dtype=np.complex128)
+    t = frame_index * scene.frame_interval
+    chirps = np.arange(cfg.n_chirps)
+    samples = np.arange(cfg.n_samples)
+    az_ant = np.arange(cfg.n_azimuth_bins)
+    el_ant = np.arange(cfg.n_elevation_bins)
+    for i, scat in enumerate(scene.scatterers):
+        pos = np.asarray(scat.position, dtype=np.float64) \
+            + t * np.asarray(scat.velocity, dtype=np.float64)
+        x, y, z = pos
+        rng_m = np.sqrt(x * x + y * y + z * z)
+        if rng_m == 0.0:
+            raise ValueError(f"scatterer {i}: zero range")
+        az = np.arctan2(y, x)
+        el = np.arcsin(np.clip(z / rng_m, -1.0, 1.0))
+        if rng_m >= cfg.max_range:
+            raise ValueError(f"scatterer {i}: max range")
+        if abs(az) > cfg.azimuth_fov / 2 or abs(el) > cfg.elevation_fov / 2:
+            raise ValueError(f"scatterer {i}: field of view")
+        v_radial = float(np.dot(np.asarray(scat.velocity, dtype=np.float64), pos / rng_m))
+        if abs(v_radial) >= cfg.max_speed:
+            raise ValueError(f"scatterer {i}: unambiguous speed")
+        f_rng = rng_m / (cfg.range_resolution * cfg.n_samples)
+        f_dop = v_radial / (cfg.speed_resolution * cfg.n_chirps)
+        f_az = az / cfg.azimuth_fov
+        f_el = el / cfg.elevation_fov
+        acc += scat.amplitude * np.einsum(
+            "c,s,a,e->csae",
+            np.exp(2j * np.pi * f_dop * chirps),
+            np.exp(2j * np.pi * f_rng * samples),
+            np.exp(2j * np.pi * f_az * az_ant),
+            np.exp(2j * np.pi * f_el * el_ant),
+        )
+    if scene.noise_floor > 0:
+        rng = np.random.default_rng([scene.seed, frame_index, 1])
+        scale = scene.noise_floor / np.sqrt(2.0)
+        acc += scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return acc.astype(np.complex64)
+
+
+def assert_adc_close(got: np.ndarray, want: np.ndarray, scene) -> None:
+    """Equal within one float32 ulp per real and imaginary component, or within
+    the rounding noise of a complex128 sum of the scatterers' terms where that
+    sum cancels to nearly zero: 2 (K + 4) eps64 sum(|amplitude|), K scatterers,
+    which bounds the gap between any two summation orders of the terms."""
+    a = got.view(np.float32)
+    b = want.view(np.float32)
+    k = len(scene.scatterers)
+    noise = 2 * (k + 4) * np.finfo(np.float64).eps * sum(s.amplitude for s in scene.scatterers)
+    tol = np.spacing(np.maximum(np.abs(a), np.abs(b))) + np.float32(noise)
+    bad = np.flatnonzero(~(np.abs(a - b) <= tol))
+    assert not len(bad), (f"{len(bad)} components differ, first at flat index {bad[0]}: "
+                          f"{a.flat[bad[0]]!r} vs {b.flat[bad[0]]!r}")
+
+
 def oracle_synth_lidar(scene, frame_index: int) -> PointCloud:
     """LiDAR samples drawn scatterer by scatterer: k x 3 normals each."""
     if not scene.scatterers:

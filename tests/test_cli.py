@@ -113,6 +113,32 @@ def test_plot_speeds_outputs(pipeline_dirs, tmp_path):
     assert "polyline" in svg
 
 
+def test_evaluation_reads_only_lidar_and_truth(pipeline_dirs, tmp_path, capsys):
+    """evaluate and plot-speeds never decode the truth's ADC or flow tensors,
+    so damaged ones change nothing there, while process still rejects them."""
+    frames, vel, report = pipeline_dirs
+    edited = tmp_path / "frames"
+    shutil.copytree(frames, edited)
+    for f in range(3):
+        (edited / f"frame_{f:06d}" / "adc.crlv").write_bytes(b"not a tensor")
+    (edited / "frame_000001" / "flow.crlv").unlink()
+    flow = edited / "frame_000002" / "flow.crlv"
+    flow.write_bytes(flow.read_bytes()[:100])
+    assert main(["evaluate", "--est", str(vel), "--truth", str(edited),
+                 "--report", str(tmp_path / "report.json")]) == 0
+    assert (tmp_path / "report.json").read_bytes() == report.read_bytes()
+    for truth, out in [(frames, tmp_path / "intact"), (edited, tmp_path / "damaged")]:
+        assert main(["plot-speeds", "--est", str(vel), "--truth", str(truth),
+                     "--out-csv", str(out) + ".csv", "--out-svg", str(out) + ".svg"]) == 0
+    for suffix in (".csv", ".svg"):
+        assert (Path(str(tmp_path / "damaged") + suffix).read_bytes()
+                == Path(str(tmp_path / "intact") + suffix).read_bytes())
+    capsys.readouterr()
+    assert main(["process", "--in", str(edited), "--out", str(tmp_path / "vel")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "frame_000000" in err and "adc.crlv" in err
+
+
 def test_unknown_scene_file_fails_cleanly(tmp_path, capsys):
     code = main(["simulate", "--scene", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "out")])

@@ -280,6 +280,46 @@ def test_frame_sequence_round_trip(tmp_path):
             assert back.flow.dt == orig.flow.dt
 
 
+@pytest.mark.parametrize("components", [(), ("lidar",), ("lidar", "ground_truth"),
+                                        ("adc", "flow")])
+def test_frame_sequence_decodes_only_the_named_components(components, tmp_path):
+    bundles, cfg, camera, scene = _tiny_bundles()
+    write_frame_sequence(tmp_path / "seq", bundles, cfg, camera, scene.frame_interval)
+    skipped = {"adc": "adc.crlv", "flow": "flow.crlv", "lidar": "lidar_positions.crlv",
+               "ground_truth": "gt_velocities.crlv"}
+    for name, tensor in skipped.items():
+        if name not in components and (name != "lidar" or "ground_truth" not in components):
+            victim = tmp_path / "seq" / "frame_000001" / tensor
+            victim.write_bytes(victim.read_bytes()[:100])
+    got, radar, _, _ = read_frame_sequence(tmp_path / "seq", components)
+    assert radar == cfg
+    for orig, back in zip(bundles, got):
+        for name in skipped:
+            if name in components and getattr(orig, name) is not None:
+                assert back.timestamp == orig.timestamp
+                assert getattr(back, name) is not None
+            else:
+                assert getattr(back, name) is None
+        if "ground_truth" in components:
+            assert np.array_equal(back.ground_truth.velocities, orig.ground_truth.velocities)
+    # the frame's meta is checked whether or not its flow is decoded
+    _edit_json(tmp_path / "seq" / "frame_000001" / "meta.json", flow_dt="0.1")
+    with pytest.raises(FormatError, match="meta.json: 'flow_dt' must be"):
+        read_frame_sequence(tmp_path / "seq", components)
+
+
+@pytest.mark.parametrize("components, message", [
+    (("lidar", "radar"), r"unknown frame components \['radar'\]"),
+    ("adc", r"unknown frame components \['a', 'c', 'd'\]"),
+    (("ground_truth",), "ground_truth needs the lidar component"),
+], ids=["unknown", "string", "truth-without-lidar"])
+def test_frame_sequence_rejects_bad_components(components, message, tmp_path):
+    bundles, cfg, camera, scene = _tiny_bundles()
+    write_frame_sequence(tmp_path / "seq", bundles, cfg, camera, scene.frame_interval)
+    with pytest.raises(ValueError, match=message):
+        read_frame_sequence(tmp_path / "seq", components)
+
+
 def test_empty_frame_sequence(tmp_path):
     write_frame_sequence(tmp_path / "seq", [], RadarConfig(), default_camera(), 0.1)
     got, _, _, _ = read_frame_sequence(tmp_path / "seq")

@@ -1,5 +1,8 @@
 import logging
 import math
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from velofusion.cube import RadarConfig, build_radar_cube
 from velofusion.fusion import read_flow
+from velofusion.io import load_scene
 from velofusion.sim import (
     Scatterer,
     SceneConfig,
@@ -19,7 +23,15 @@ from velofusion.sim import (
 )
 from velofusion.types import CameraModel, PointStatus
 
-from helpers import oracle_synth_flow, oracle_synth_lidar, random_rotation
+from helpers import (
+    assert_adc_close,
+    oracle_simulate_adc,
+    oracle_synth_flow,
+    oracle_synth_lidar,
+    random_rotation,
+)
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 # 0.25 m bins keep a usable max range (4 m) with only 16 samples
 SMALL = RadarConfig(
@@ -63,6 +75,13 @@ def test_scatterer_rejects_non_finite_values(bad):
         Scatterer(position=(1.0, 0.0, 0.0), amplitude=abs(bad))
 
 
+def _at(rng_m, az_deg, el_deg=0.0, velocity=(0.0, 0.0, 0.0), amplitude=1.0):
+    az, el = np.radians(az_deg), np.radians(el_deg)
+    return Scatterer(position=(rng_m * np.cos(el) * np.cos(az),
+                               rng_m * np.cos(el) * np.sin(az), rng_m * np.sin(el)),
+                     velocity=velocity, amplitude=amplitude)
+
+
 def test_scatterer_outside_coverage_is_rejected():
     cfg = RadarConfig()
     far = _scene(Scatterer(position=(10.0, 0.0, 0.0)))
@@ -71,6 +90,13 @@ def test_scatterer_outside_coverage_is_rejected():
     fast = _scene(Scatterer(position=(3.0, 0.0, 0.0), velocity=(5.0, 0.0, 0.0)))
     with pytest.raises(ValueError, match="radial velocity"):
         simulate_adc(fast, 0, cfg)
+    # The FoV is +-32 deg in azimuth and +-20 deg in elevation: a scatterer at
+    # +40 deg azimuth would render as a ghost at azimuth bin 4 (-24 deg).
+    for az_deg, el_deg in [(40.0, 0.0), (-32.1, 0.0), (0.0, 20.1), (10.0, -25.0)]:
+        with pytest.raises(ValueError, match=r"^scatterer 0 .* outside the radar field of "
+                                             r"view \+-32\.0 x \+-20\.0 deg at frame 0$"):
+            simulate_adc(_scene(_at(3.0, az_deg, el_deg)), 0, cfg)
+    simulate_adc(_scene(_at(3.0, 31.9, 19.9), _at(3.0, -31.9, -19.9)), 0, cfg)
 
 
 def test_single_target_peak_location():
@@ -144,6 +170,137 @@ def test_noise_scale():
     # complex std should be about noise_floor
     measured = np.sqrt(np.mean(np.abs(noise.astype(np.complex128)) ** 2))
     assert measured == pytest.approx(0.2, rel=0.1)
+
+
+# The benchmark's crowd layout: ten movers 5 deg apart on three range rings.
+CROWD_RADAR = RadarConfig(n_samples=64, n_chirps=16, n_azimuth_bins=16, n_elevation_bins=4,
+                          range_resolution=0.075)
+
+
+def _crowd_scene(noise_floor):
+    movers = []
+    for i in range(10):
+        az = -22.5 + 5.0 * i
+        heading = np.radians(az + (0.0, 90.0, 45.0, 135.0, 180.0)[i % 5])
+        speed = 0.3 + 0.08 * i
+        movers.append(_at((2.4, 3.0, 3.6)[i % 3], az,
+                          velocity=(speed * np.cos(heading), speed * np.sin(heading), 0.0)))
+    return _scene(*movers, n_frames=3, noise_floor=noise_floor, seed=5)
+
+
+def _random_scene(seed, n, cfg, noise_floor=0.0):
+    """n scatterers with random amplitudes spread over the radar's coverage."""
+    rng = np.random.default_rng(seed)
+    # 80 % of the FoV, so a frame's motion cannot carry a scatterer out of it
+    half_az, half_el = 0.4 * np.degrees(cfg.azimuth_fov), 0.4 * np.degrees(cfg.elevation_fov)
+    return _scene(*(
+        _at(rng.uniform(0.2, 0.9) * cfg.max_range, rng.uniform(-half_az, half_az),
+            rng.uniform(-half_el, half_el),
+            velocity=tuple(rng.uniform(-0.5, 0.5, 3) * cfg.max_speed / 0.9),
+            amplitude=rng.uniform(0.2, 3.0))
+        for _ in range(n)), noise_floor=noise_floor, seed=seed)
+
+
+def _adc_case(name, noise_floor):
+    if name == "demo":
+        scene, cfg, _ = load_scene(SCENES / "demo.json")
+        return replace(scene, n_frames=3, noise_floor=noise_floor), cfg
+    if name == "tiny":
+        scene, cfg, _ = load_scene(SCENES / "tiny.json")
+        return replace(scene, noise_floor=noise_floor), cfg
+    if name == "crowd":
+        return _crowd_scene(noise_floor), CROWD_RADAR
+    # 300 scatterers on SMALL: 50 blocks of 6, so the blocked sum runs
+    return _random_scene(4, 300, SMALL, noise_floor), SMALL
+
+
+@pytest.mark.parametrize("noise_floor", [0.0, 0.1])
+@pytest.mark.parametrize("name", ["demo", "tiny", "crowd", "many"])
+def test_simulate_adc_matches_per_scatterer_oracle(name, noise_floor):
+    scene, cfg = _adc_case(name, noise_floor)
+    for f in range(scene.n_frames):
+        assert_adc_close(simulate_adc(scene, f, cfg).samples,
+                         oracle_simulate_adc(scene, f, cfg), scene)
+
+
+def test_assert_adc_close_separates_an_ulp_from_a_wrong_sample():
+    scene = _crowd_scene(0.0)
+    want = oracle_simulate_adc(scene, 1, CROWD_RADAR)
+    got = want.copy()
+    parts = got.reshape(-1).view(np.float32)
+    parts[:3] = np.nextafter(parts[:3], np.float32(np.inf))
+    assert_adc_close(got, want, scene)
+    k = np.argmax(np.abs(parts))
+    parts[k] = np.nextafter(np.nextafter(parts[k], np.float32(np.inf)), np.float32(np.inf))
+    with pytest.raises(AssertionError, match="1 components differ"):
+        assert_adc_close(got, want, scene)
+
+
+@pytest.mark.parametrize("n", [0, 1, 300])
+def test_simulate_adc_noise_is_the_oracle_stream(n):
+    """Without scatterers the tensor is the noise alone, bit for bit; the
+    noise added to a scene is that same tensor."""
+    noisy = _random_scene(8, n, SMALL, noise_floor=0.3)
+    noise = simulate_adc(replace(noisy, scatterers=()), 1, SMALL).samples
+    assert np.array_equal(noise.view(np.float32),
+                          oracle_simulate_adc(replace(noisy, scatterers=()), 1, SMALL)
+                          .view(np.float32))
+    quiet = replace(noisy, noise_floor=0.0)
+    both = simulate_adc(noisy, 1, SMALL).samples.astype(np.complex128)
+    signal = simulate_adc(quiet, 1, SMALL).samples.astype(np.complex128)
+    assert np.allclose(both - signal, noise, rtol=0, atol=1e-6 * max(n, 1))
+    assert not simulate_adc(replace(quiet, scatterers=()), 1, SMALL).samples.any()
+
+
+_OK = Scatterer(position=(2.0, 0.3, 0.1), velocity=(0.2, 0.0, 0.0))
+_FAR = Scatterer(position=(10.0, 0.0, 0.0))
+_FAST = Scatterer(position=(2.0, 0.0, 0.0), velocity=(1.0, 0.0, 0.0))
+_WIDE = _at(2.0, 40.0)
+_HIGH = _at(2.0, 0.0, 25.0)
+_ZERO = Scatterer(position=(0.0, 0.0, 0.0))
+_ZERO_AT_2 = Scatterer(position=(-0.2, 0.0, 0.0), velocity=(1.0, 0.0, 0.0))
+_KIND_WORDS = {"zero range": "at zero range has no direction",
+               "max range": "exceeds max range", "field of view": "radar field of view",
+               "unambiguous speed": "exceeds the unambiguous interval"}
+
+
+@pytest.mark.parametrize("scatterers, frame, index, kind", [
+    ((_OK, _FAR, _FAST), 0, 1, "max range"),
+    ((_OK, _FAST, _FAR), 0, 1, "unambiguous speed"),
+    ((_WIDE, _FAR), 0, 0, "field of view"),
+    ((_OK, _OK, _HIGH), 0, 2, "field of view"),
+    ((Scatterer(position=(10.0, 0.0, 0.0), velocity=(5.0, 0.0, 0.0)),), 0, 0, "max range"),
+    ((_at(2.0, 40.0, velocity=(1.0, 0.0, 0.0)),), 0, 0, "field of view"),
+    ((_FAR, _ZERO), 0, 0, "max range"),
+    ((_OK, _ZERO, _FAR), 0, 1, "zero range"),
+    ((_OK, _ZERO_AT_2), 2, 1, "zero range"),
+    ((_OK, _ZERO_AT_2), 1, 1, "field of view"),
+])
+def test_simulate_adc_names_the_loops_first_bad_scatterer(scatterers, frame, index, kind):
+    scene = _scene(*scatterers, n_frames=3)
+    with pytest.raises(ValueError) as want:
+        oracle_simulate_adc(scene, frame, SMALL)
+    assert str(want.value) == f"scatterer {index}: {kind}"
+    with pytest.raises(ValueError, match=rf"^scatterer {index} .*{_KIND_WORDS[kind]}"
+                                         rf".* at frame {frame}$"):
+        simulate_adc(scene, frame, SMALL)
+
+
+def test_simulate_adc_memory_does_not_grow_with_scatterers():
+    """2,000 scatterers: the blocked product's peak stays below the loop's,
+    which holds the accumulator and one outer product at a time."""
+    cfg = RadarConfig(n_samples=64, n_chirps=4, n_azimuth_bins=16, n_elevation_bins=8,
+                      range_resolution=0.1, speed_resolution=0.5)
+    scene = _random_scene(6, 2000, cfg)
+    peaks = []
+    for render in (simulate_adc, oracle_simulate_adc):
+        tracemalloc.start()
+        try:
+            render(scene, 0, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_synth_lidar_deterministic_and_labeled():
