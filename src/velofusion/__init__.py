@@ -1,16 +1,17 @@
 """Point-wise 3D velocity estimation from FMCW radar, LiDAR and optical flow.
 
 Pipeline: simulate (or record) raw ADC frames -> windowed FFTs build a
-(range, azimuth, elevation, doppler) magnitude cube -> relative-intensity
-threshold -> Doppler collapse into a per-voxel radial velocity cube ->
-context-window table over all voxels, read at every LiDAR point + optical
-flow -> closed-form 3D velocity per point -> object-wise metrics.
+(range, azimuth, elevation, doppler) magnitude cube -> Doppler collapse,
+which applies the relative-intensity threshold, into a per-voxel radial
+velocity cube -> context-window table over all voxels, read at every LiDAR
+point + optical flow -> closed-form 3D velocity per point -> object-wise
+metrics. Non-finite ADC samples, flow on covered pixels and velocities are
+rejected where they enter, so a bad file fails instead of scoring NaN.
 """
 from .cube import (
     AdcCube,
     RadarConfig,
     RadarCube,
-    bin_to_physical,
     build_radar_cube,
     doppler_bin_velocities,
     threshold_cube,
@@ -49,7 +50,6 @@ from .metrics import (
 from .sim import (
     Scatterer,
     SceneConfig,
-    advance_scene,
     ground_truth_velocities,
     simulate_adc,
     synth_flow,
@@ -70,7 +70,6 @@ from .velcube import (
     cartesian_to_polar,
     collapse_doppler,
     query_radial_velocity,
-    window_coverage,
     window_table,
 )
 

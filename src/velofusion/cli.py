@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import build_radar_cube, threshold_cube
+from .cube import build_radar_cube
 from .fusion import DEFAULT_COND_BOUND, estimate_frame
 from .io import (
     FrameBundle,
@@ -61,8 +61,7 @@ def cmd_process(args: argparse.Namespace) -> int:
         if bundle.adc is None or bundle.lidar is None or bundle.flow is None:
             continue
         start = time.perf_counter()
-        cube = threshold_cube(build_radar_cube(bundle.adc, radar), radar.threshold_db)
-        vc = collapse_doppler(cube, radar)
+        vc = collapse_doppler(build_radar_cube(bundle.adc, radar), radar)
         pair = FramePair(np.eye(3), bundle.flow.dt)
         est = estimate_frame(bundle.lidar, vc, bundle.flow, camera, pair, window,
                              cond_bound=args.cond_bound)

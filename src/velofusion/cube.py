@@ -69,7 +69,11 @@ class RadarConfig:
 
 @dataclass
 class AdcCube:
-    """Raw complex ADC samples, indexed (chirp, sample, az antenna, el antenna)."""
+    """Raw complex ADC samples, indexed (chirp, sample, az antenna, el antenna).
+
+    Every sample must be finite: one NaN spreads through the FFTs to the
+    whole cube and silently invalidates every voxel.
+    """
 
     samples: np.ndarray  # complex64
 
@@ -77,6 +81,8 @@ class AdcCube:
         self.samples = np.ascontiguousarray(self.samples, dtype=np.complex64)
         if self.samples.ndim != 4:
             raise ValueError(f"ADC tensor must have 4 axes, got shape {self.samples.shape}")
+        if not np.isfinite(self.samples.view(np.float32)).all():
+            raise ValueError("ADC samples must be finite")
 
 
 @dataclass
@@ -121,6 +127,18 @@ def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
     return RadarCube(np.ascontiguousarray(mag.transpose(1, 2, 3, 0)))
 
 
+def threshold_cut(peak: float, threshold_db: float) -> float:
+    """Amplitude threshold_db decibels below peak.
+
+    The cut is formed in float64 from float(peak). Callers compare it with
+    float32 magnitudes, so it is rounded to float32 there: a voxel equal to
+    the rounded cut survives.
+    """
+    if not threshold_db > 0:
+        raise ValueError(f"threshold_db must be positive, got {threshold_db}")
+    return peak * 10.0 ** (-threshold_db / 20.0)
+
+
 def threshold_cube(cube: RadarCube, threshold_db: float) -> RadarCube:
     """Zero every voxel more than threshold_db below the global peak.
 
@@ -128,36 +146,14 @@ def threshold_cube(cube: RadarCube, threshold_db: float) -> RadarCube:
     20 * log10(peak / value) <= threshold_db. An all-zero cube passes through
     unchanged and the operation is idempotent.
     """
-    if not threshold_db > 0:
-        raise ValueError(f"threshold_db must be positive, got {threshold_db}")
     mag = cube.magnitudes
     peak = float(mag.max()) if mag.size else 0.0
+    cut = threshold_cut(peak, threshold_db)
     if peak == 0.0:
         return RadarCube(mag.copy())
-    cut = peak * 10.0 ** (-threshold_db / 20.0)
     return RadarCube(np.where(mag >= cut, mag, 0.0).astype(np.float32))
 
 
 def doppler_bin_velocities(cfg: RadarConfig) -> np.ndarray:
     """Radial velocity represented by each (shifted) Doppler bin."""
     return (np.arange(cfg.n_chirps) - cfg.n_chirps // 2) * cfg.speed_resolution
-
-
-def bin_to_physical(
-    range_bin: int, azimuth_bin: int, elevation_bin: int, doppler_bin: int, cfg: RadarConfig
-) -> tuple[float, float, float, float]:
-    """Map cube bin indices to (range m, azimuth rad, elevation rad, velocity m/s)."""
-    bounds = (
-        ("range_bin", range_bin, cfg.n_range_bins),
-        ("azimuth_bin", azimuth_bin, cfg.n_azimuth_bins),
-        ("elevation_bin", elevation_bin, cfg.n_elevation_bins),
-        ("doppler_bin", doppler_bin, cfg.n_chirps),
-    )
-    for name, value, count in bounds:
-        if not 0 <= value < count:
-            raise ValueError(f"{name} {value} outside [0, {count})")
-    rng = range_bin * cfg.range_resolution
-    az = (azimuth_bin - cfg.n_azimuth_bins // 2) * cfg.azimuth_bin_width
-    el = (elevation_bin - cfg.n_elevation_bins // 2) * cfg.elevation_bin_width
-    vel = (doppler_bin - cfg.n_chirps // 2) * cfg.speed_resolution
-    return rng, az, el, vel

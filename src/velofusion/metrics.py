@@ -182,9 +182,10 @@ class MetricsReport:
     n_frames: int                # evaluated (track, frame) pairs
 
     def __post_init__(self) -> None:
+        # written so that NaN fails each check; JSON has no NaN or Infinity
         for name in ("ave", "ave_radial", "ave_tangential"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("avae_deg", "avae_weighted_deg"):
             if not 0 <= getattr(self, name) <= 180:
                 raise ValueError(f"{name} must lie in [0, 180]")

@@ -20,7 +20,7 @@ from per-frame, per-stream child seeds of scene.seed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,24 +83,6 @@ class SceneConfig:
             raise ValueError("lidar_jitter_sigma must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-def advance_scene(scene: SceneConfig, n_frames: int = 1) -> SceneConfig:
-    """Scene with every scatterer moved forward by n_frames frame intervals.
-
-    The remaining frame count shrinks accordingly, so frame f of the advanced
-    scene matches frame f + n_frames of the original.
-    """
-    if not 0 <= n_frames <= scene.n_frames - 2:
-        raise ValueError(
-            f"cannot advance {n_frames} frames in a {scene.n_frames} frame scene"
-        )
-    dt = n_frames * scene.frame_interval
-    moved = tuple(
-        replace(s, position=tuple(np.asarray(s.position) + dt * np.asarray(s.velocity)))
-        for s in scene.scatterers
-    )
-    return replace(scene, scatterers=moved, n_frames=scene.n_frames - n_frames)
 
 
 def _scatterer_arrays(scene: SceneConfig, frame_index: int = 0) -> tuple[np.ndarray, np.ndarray]:

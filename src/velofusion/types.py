@@ -181,8 +181,9 @@ class FramePair:
 class VelocityPointCloud:
     """Point cloud with an estimated 3D velocity and a status per point.
 
-    Positions and velocities are in the radar frame. Points whose status is
-    not OK carry a zero velocity.
+    Positions and velocities are in the radar frame. Velocities are finite,
+    and points whose status is not OK carry a zero velocity. Positions may be
+    non-finite: cluster_points labels such points as noise.
     """
 
     positions: np.ndarray    # (N, 3) float64, meters
@@ -203,6 +204,8 @@ class VelocityPointCloud:
         bad = ~np.isin(self.status, [s.value for s in PointStatus])
         if bad.any():
             raise ValueError(f"unknown status codes: {sorted(set(self.status[bad]))}")
+        if not np.isfinite(self.velocities).all():
+            raise ValueError("velocities must be finite")
         not_ok = self.status != PointStatus.OK
         if np.any(self.velocities[not_ok] != 0):
             raise ValueError("points without OK status must carry zero velocity")

@@ -1,9 +1,10 @@
 """Velocity cube: per-voxel radial velocity from the Doppler argmax.
 
-Collapsing the Doppler axis of a thresholded radar cube leaves one radial
-velocity per spatial voxel plus a validity mask. Points are looked up through
-an axis-aligned context window around their nearest bin; the strongest mover
-(largest |velocity|) among the valid voxels in the window wins.
+Collapsing the Doppler axis of a radar cube, with the relative-intensity
+threshold applied on the way, leaves one radial velocity per spatial voxel
+plus a validity mask. Points are looked up through an axis-aligned context
+window around their nearest bin; the strongest mover (largest |velocity|)
+among the valid voxels in the window wins.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import RadarConfig, RadarCube, doppler_bin_velocities
+from .cube import RadarConfig, RadarCube, doppler_bin_velocities, threshold_cut
 
 
 @dataclass
@@ -52,23 +53,27 @@ class ContextWindow:
 
 
 def collapse_doppler(cube: RadarCube, cfg: RadarConfig) -> VelocityCube:
-    """Pick the strongest Doppler bin per spatial voxel.
+    """Pick the strongest Doppler bin per spatial voxel of the thresholded cube.
 
-    Exact magnitude ties go to the bin of smallest |velocity|, then to the
-    lower bin index. Voxels whose Doppler magnitudes are all zero are invalid
-    and carry velocity 0.
+    A voxel is valid when its strongest bin is positive and reaches the cut
+    cfg.threshold_db below the cube's global peak, the rule of threshold_cube;
+    invalid voxels carry velocity 0. Exact magnitude ties go to the bin of
+    smallest |velocity|, then to the lower bin index. The cut keeps the global
+    peak and every bin tied with a surviving voxel's strongest, so collapsing
+    a threshold_cube output gives the same velocity cube.
     """
     mag = cube.magnitudes
     expected = (cfg.n_range_bins, cfg.n_azimuth_bins, cfg.n_elevation_bins, cfg.n_chirps)
     if mag.shape != expected:
         raise ValueError(f"cube shape {mag.shape} does not match config {expected}")
+    strongest = mag.max(axis=-1)
+    cut = threshold_cut(float(strongest.max()), cfg.threshold_db)
+    valid = (strongest >= cut) & (strongest > 0)
     vels = doppler_bin_velocities(cfg)
     # Reorder Doppler bins by tie-break priority so the first argmax hit wins.
     order = np.lexsort((np.arange(cfg.n_chirps), np.abs(vels)))
-    best = np.argmax(mag[..., order], axis=-1)
-    velocity = vels[order[best]]
-    valid = mag.max(axis=-1) > 0
-    velocity = np.where(valid, velocity, 0.0)
+    velocity = np.zeros(valid.shape)
+    velocity[valid] = vels[order[np.argmax(mag[valid][:, order], axis=-1)]]
     return VelocityCube(velocity, valid, cfg)
 
 
@@ -173,12 +178,3 @@ def query_radial_velocity(
     table = window_table(vc, window)
     voxel = tuple(bins[0])
     return float(table.velocity[voxel]), bool(table.valid[voxel])
-
-
-def window_coverage(cfg: RadarConfig, window: ContextWindow) -> tuple[float, float, float]:
-    """Physical span of a context window: (azimuth rad, elevation rad, range m)."""
-    return (
-        window.azimuth_extent * cfg.azimuth_bin_width,
-        window.elevation_extent * cfg.elevation_bin_width,
-        window.range_extent * cfg.range_resolution,
-    )

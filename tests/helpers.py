@@ -6,11 +6,15 @@ explicit matrix products, searches are plain loops. Slow but unambiguous.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from velofusion.cube import RadarConfig
 from velofusion.metrics import ASSOCIATION_GATE, ObjectTrack, TrackFrame, cluster_points
+from velofusion.sim import SceneConfig
 from velofusion.types import FlowField, PointCloud, PointStatus, project_points
+from velofusion.velcube import ContextWindow
 
 
 def hanning_closed_form(n: int) -> np.ndarray:
@@ -42,6 +46,35 @@ def dft_cube_oracle(samples: np.ndarray, cfg: RadarConfig) -> np.ndarray:
     x = np.tensordot(dft_matrix(cfg.n_elevation_bins), x, axes=([1], [3]))  # -> (el, az, doppler, range)
     x = center_shift(x, 0)
     return np.abs(x).transpose(3, 1, 0, 2)  # -> (range, az, el, doppler)
+
+
+def bin_to_physical(
+    range_bin: int, azimuth_bin: int, elevation_bin: int, doppler_bin: int, cfg: RadarConfig
+) -> tuple[float, float, float, float]:
+    """Map cube bin indices to (range m, azimuth rad, elevation rad, velocity m/s)."""
+    bounds = (
+        ("range_bin", range_bin, cfg.n_range_bins),
+        ("azimuth_bin", azimuth_bin, cfg.n_azimuth_bins),
+        ("elevation_bin", elevation_bin, cfg.n_elevation_bins),
+        ("doppler_bin", doppler_bin, cfg.n_chirps),
+    )
+    for name, value, count in bounds:
+        if not 0 <= value < count:
+            raise ValueError(f"{name} {value} outside [0, {count})")
+    rng = range_bin * cfg.range_resolution
+    az = (azimuth_bin - cfg.n_azimuth_bins // 2) * cfg.azimuth_bin_width
+    el = (elevation_bin - cfg.n_elevation_bins // 2) * cfg.elevation_bin_width
+    vel = (doppler_bin - cfg.n_chirps // 2) * cfg.speed_resolution
+    return rng, az, el, vel
+
+
+def window_coverage(cfg: RadarConfig, window: ContextWindow) -> tuple[float, float, float]:
+    """Physical span of a context window: (azimuth rad, elevation rad, range m)."""
+    return (
+        window.azimuth_extent * cfg.azimuth_bin_width,
+        window.elevation_extent * cfg.elevation_bin_width,
+        window.range_extent * cfg.range_resolution,
+    )
 
 
 def brute_collapse(mag: np.ndarray, cfg: RadarConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -400,6 +433,24 @@ def oracle_build_tracks(frames, eps: float, min_points: int) -> list[ObjectTrack
                 next_active[track.track_id] = track
         active = next_active
     return tracks
+
+
+def advance_scene(scene: SceneConfig, n_frames: int = 1) -> SceneConfig:
+    """Scene with every scatterer moved forward by n_frames frame intervals.
+
+    The remaining frame count shrinks accordingly, so frame f of the advanced
+    scene matches frame f + n_frames of the original.
+    """
+    if not 0 <= n_frames <= scene.n_frames - 2:
+        raise ValueError(
+            f"cannot advance {n_frames} frames in a {scene.n_frames} frame scene"
+        )
+    dt = n_frames * scene.frame_interval
+    moved = tuple(
+        replace(s, position=tuple(np.asarray(s.position) + dt * np.asarray(s.velocity)))
+        for s in scene.scatterers
+    )
+    return replace(scene, scatterers=moved, n_frames=scene.n_frames - n_frames)
 
 
 def random_rotation(rng: np.random.Generator, max_angle: float = 0.3) -> np.ndarray:

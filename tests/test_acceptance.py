@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from velofusion.cli import main
-from velofusion.cube import RadarConfig, RadarCube, bin_to_physical, build_radar_cube, threshold_cube
+from velofusion.cube import RadarConfig, RadarCube, build_radar_cube, threshold_cube
 from velofusion.fusion import estimate_frame, solve_velocities
 from velofusion.io import FormatError, load_scene, read_tensor, write_tensor
 from velofusion.metrics import EvalFrame, avae, ave, build_tracks, evaluate_tracks
 from velofusion.sim import Scatterer, SceneConfig, ground_truth_velocities, simulate_adc, synth_flow, synth_lidar
 from velofusion.types import FramePair
-from velofusion.velcube import ContextWindow, collapse_doppler, window_coverage
+from velofusion.velcube import ContextWindow, collapse_doppler
 
-from helpers import random_rotation
+from helpers import bin_to_physical, random_rotation, window_coverage
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -115,9 +115,7 @@ def test_end_to_end_pipeline():
     frames = []
     for f in range(1, scene.n_frames):
         cloud = synth_lidar(scene, f)
-        cube = threshold_cube(build_radar_cube(simulate_adc(scene, f, cfg), cfg),
-                              cfg.threshold_db)
-        vc = collapse_doppler(cube, cfg)
+        vc = collapse_doppler(build_radar_cube(simulate_adc(scene, f, cfg), cfg), cfg)
         flow = synth_flow(scene, f - 1, camera)
         est = estimate_frame(cloud, vc, flow, camera, FramePair(dt=scene.frame_interval))
         gt = ground_truth_velocities(scene, cloud)

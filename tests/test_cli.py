@@ -200,6 +200,49 @@ def test_non_finite_flow_fails_cleanly(pipeline_dirs, tmp_path, capsys):
     assert "frame_000002: covered pixels must carry finite flow" in err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_adc_fails_cleanly(pipeline_dirs, tmp_path, capsys, bad):
+    frames, _, _ = pipeline_dirs
+    edited = tmp_path / "frames"
+    shutil.copytree(frames, edited)
+    fdir = edited / "frame_000001"
+    adc = read_tensor(fdir / "adc.crlv")
+    adc[3, 5, 1, 0] = bad
+    write_tensor(fdir / "adc.crlv", adc)
+    capsys.readouterr()
+    code = main(["process", "--in", str(edited), "--out", str(tmp_path / "vel")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "frame_000001: ADC samples must be finite" in err
+    assert not (tmp_path / "vel").exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "frame_000001: velocities must be finite"),
+    (1e200, "ave must be finite and >= 0"),  # finite, but AVE overflows to inf
+])
+def test_evaluate_writes_no_report_for_non_finite_values(pipeline_dirs, tmp_path, capsys,
+                                                          value, message):
+    frames, vel, _ = pipeline_dirs
+    edited = tmp_path / "vel"
+    shutil.copytree(vel, edited)
+    fdir = edited / "frame_000001"
+    velocities = read_tensor(fdir / "velocities.crlv")
+    ok = np.flatnonzero(read_tensor(fdir / "status.crlv") == 0)[0]
+    velocities[ok, 1] = value
+    write_tensor(fdir / "velocities.crlv", velocities)
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    with np.errstate(over="ignore"):
+        code = main(["evaluate", "--est", str(edited), "--truth", str(frames),
+                     "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("command, manifest, key, value", [
     ("process", "frames", "n_frames", "2"),
     ("evaluate", "vel", "frame_indices", 5),

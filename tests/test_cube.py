@@ -4,14 +4,13 @@ import pytest
 from velofusion.cube import (
     AdcCube,
     RadarConfig,
-    bin_to_physical,
     build_radar_cube,
     doppler_bin_velocities,
     threshold_cube,
 )
 from velofusion.sim import Scatterer, SceneConfig, simulate_adc
 
-from helpers import dft_cube_oracle
+from helpers import bin_to_physical, dft_cube_oracle
 
 SMALL = RadarConfig(
     n_samples=16,
@@ -29,6 +28,16 @@ def test_config_derived_quantities():
     assert np.degrees(cfg.azimuth_bin_width) == pytest.approx(2.0)
     assert np.degrees(cfg.elevation_bin_width) == pytest.approx(5.0)
     assert RadarConfig(one_sided_range=True).n_range_bins == 64
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                 complex(-np.inf, 1.0)])
+def test_adc_cube_rejects_non_finite_samples(bad):
+    samples = np.ones((2, 4, 2, 2), dtype=np.complex64)
+    AdcCube(samples)
+    samples[1, 3, 0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        AdcCube(samples)
 
 
 def test_config_validation():

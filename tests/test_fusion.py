@@ -13,6 +13,7 @@ from velofusion.types import (
     FramePair,
     PointCloud,
     PointStatus,
+    VelocityPointCloud,
     project_points,
 )
 from velofusion.velcube import ContextWindow, VelocityCube, collapse_doppler, query_radial_velocity
@@ -93,6 +94,17 @@ def test_flow_field_rejects_non_finite_covered_flow(bad):
     flow[3, 4, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         FlowField(flow, covered, 0.1)
+
+
+def test_velocity_point_cloud_rejects_non_finite_velocities():
+    positions = np.array([[1.0, 0.0, 2.0], [np.nan, 0.0, 2.0]])
+    velocities = np.zeros((2, 3))
+    status = np.array([PointStatus.OK, PointStatus.OK], dtype=np.uint8)
+    VelocityPointCloud(positions, velocities, status)  # cluster_points labels NaN positions noise
+    for bad in (np.nan, np.inf):
+        velocities[0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            VelocityPointCloud(positions, velocities, status)
 
 
 def _solve_one(p_norm, q, r_hat, r_dot, pair):

@@ -457,6 +457,15 @@ def test_evaluate_requires_usable_frames():
         evaluate_tracks([])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", range(5))
+def test_report_rejects_non_finite(field, bad):
+    values = [0.1, 0.05, 0.08, 3.0, 2.5]
+    values[field] = bad
+    with pytest.raises(ValueError):
+        MetricsReport(*values, 7)
+
+
 def test_report_round_trips_to_dict():
     rep = MetricsReport(0.1, 0.05, 0.08, 3.0, 2.5, 7)
     d = rep.to_dict()

@@ -15,7 +15,6 @@ from velofusion.io import load_scene
 from velofusion.sim import (
     Scatterer,
     SceneConfig,
-    advance_scene,
     ground_truth_velocities,
     simulate_adc,
     synth_flow,
@@ -24,6 +23,7 @@ from velofusion.sim import (
 from velofusion.types import CameraModel, PointStatus
 
 from helpers import (
+    advance_scene,
     assert_adc_close,
     oracle_simulate_adc,
     oracle_synth_flow,
@@ -138,16 +138,6 @@ def test_frame_index_matches_advanced_scene():
     later = simulate_adc(scene, 3, SMALL).samples
     stepped = simulate_adc(advance_scene(scene, 3), 0, SMALL).samples
     assert np.allclose(later, stepped, rtol=1e-4, atol=1e-6)
-
-
-def test_advance_scene_moves_positions():
-    s = Scatterer(position=(2.0, 0.0, 0.0), velocity=(0.5, 0.0, 0.0))
-    scene = _scene(s, frame_interval=0.1, n_frames=5)
-    moved = advance_scene(scene, 2)
-    assert moved.scatterers[0].position == pytest.approx((2.1, 0.0, 0.0))
-    assert moved.n_frames == 3
-    with pytest.raises(ValueError):
-        advance_scene(scene, 5)
 
 
 def test_noise_is_deterministic_per_seed_and_frame():

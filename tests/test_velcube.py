@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from velofusion.cube import RadarCube, RadarConfig
+from velofusion.cube import RadarCube, RadarConfig, threshold_cube, threshold_cut
 from velofusion.velcube import (
     ContextWindow,
     VelocityCube,
@@ -9,11 +13,10 @@ from velofusion.velcube import (
     collapse_doppler,
     point_bins,
     query_radial_velocity,
-    window_coverage,
     window_table,
 )
 
-from helpers import brute_collapse, brute_window_at, brute_window_query
+from helpers import brute_collapse, brute_window_at, brute_window_query, window_coverage
 
 SMALL = RadarConfig(
     n_samples=16,
@@ -75,9 +78,42 @@ def test_collapse_matches_brute_force():
         vals = rng.integers(0, 4, size=mag.shape).astype(np.float32)
         mag[:] = vals * 0.5
         vc = collapse_doppler(RadarCube(mag), SMALL)
-        want_vel, want_valid = brute_collapse(mag, SMALL)
+        thresholded = threshold_cube(RadarCube(mag), SMALL.threshold_db).magnitudes
+        want_vel, want_valid = brute_collapse(thresholded, SMALL)
         assert np.array_equal(vc.valid, want_valid)
-        assert np.allclose(vc.velocity, want_vel)
+        assert np.array_equal(vc.velocity, want_vel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 6),
+       scale=st.floats(1e-3, 1e3), threshold_db=st.floats(0.1, 40.0))
+def test_collapse_of_thresholded_cube_is_bit_identical(seed, levels, scale, threshold_db):
+    """The process path collapses the raw cube; threshold_cube first changes no bit."""
+    cfg = replace(SMALL, threshold_db=threshold_db)
+    rng = np.random.default_rng(seed)
+    # few levels: many exact ties within a voxel and many voxels near the cut
+    mag = (rng.integers(0, levels + 1, size=_mag(cfg).shape) * scale).astype(np.float32)
+    raw = collapse_doppler(RadarCube(mag), cfg)
+    cut_first = collapse_doppler(threshold_cube(RadarCube(mag), threshold_db), cfg)
+    assert np.array_equal(raw.valid, cut_first.valid)
+    assert np.array_equal(raw.velocity, cut_first.velocity)
+
+
+def test_collapse_voxel_at_the_float32_cut():
+    """The cut is formed in float64 and compared in float32, as threshold_cube does."""
+    cut64 = threshold_cut(5.0, SMALL.threshold_db)
+    cut32 = np.float32(cut64)
+    assert float(cut32) < cut64  # only a float32 comparison keeps a voxel at cut32
+    mag = _mag(SMALL)
+    mag[0, 0, 0, 5] = 5.0
+    mag[1, 2, 3, 6] = cut32
+    mag[2, 2, 3, 2] = np.nextafter(cut32, np.float32(0))
+    vc = collapse_doppler(RadarCube(mag), SMALL)
+    assert vc.valid[1, 2, 3] and vc.velocity[1, 2, 3] == pytest.approx(2 * 0.175)
+    assert not vc.valid[2, 2, 3] and vc.velocity[2, 2, 3] == 0
+    assert np.count_nonzero(vc.valid) == 2
+    kept = threshold_cube(RadarCube(mag), SMALL.threshold_db).magnitudes
+    assert kept[1, 2, 3, 6] == cut32 and kept[2, 2, 3, 2] == 0
 
 
 def test_velocity_cube_validation():
