@@ -1,7 +1,7 @@
 """Point-wise 3D velocity estimation from FMCW radar, LiDAR and optical flow.
 
-Pipeline: simulate (or record) raw ADC frames -> windowed FFTs build a
-(range, azimuth, elevation, doppler) magnitude cube -> Doppler collapse,
+Pipeline: simulate (or record) raw ADC frames -> windowed DFT-matrix products
+build a (range, azimuth, elevation, doppler) magnitude cube -> Doppler collapse,
 which applies the relative-intensity threshold, into a per-voxel radial
 velocity cube -> context-window table over all voxels, read at every LiDAR
 point + optical flow -> closed-form 3D velocity per point -> object-wise

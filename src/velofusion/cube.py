@@ -1,13 +1,15 @@
-"""Radar cube construction: windowed FFTs over the raw ADC tensor.
+"""Radar cube construction: four DFT-matrix products over the raw ADC tensor.
 
 The ADC tensor is indexed (chirp, sample, azimuth antenna, elevation antenna).
-Hanning windows are applied along the sample and chirp axes, then FFTs along
-all four axes produce a magnitude cube indexed (range, azimuth, elevation,
+Each axis is transformed by a product with its complex64 DFT matrix, which
+carries the Hanning window on the sample and chirp axes and the center shift
+on the others, giving a magnitude cube indexed (range, azimuth, elevation,
 doppler). The Doppler and both angle axes are center-shifted so zero velocity
 and boresight sit at the middle bin; the range axis is left unshifted.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,8 +73,8 @@ class RadarConfig:
 class AdcCube:
     """Raw complex ADC samples, indexed (chirp, sample, az antenna, el antenna).
 
-    Every sample must be finite: one NaN spreads through the FFTs to the
-    whole cube and silently invalidates every voxel.
+    Every sample must be finite: one NaN spreads through the DFT products to
+    the whole cube and silently invalidates every voxel.
     """
 
     samples: np.ndarray  # complex64
@@ -89,22 +91,39 @@ class AdcCube:
 class RadarCube:
     """Magnitude spectrum indexed (range, azimuth, elevation, doppler)."""
 
-    magnitudes: np.ndarray  # float32, non-negative
+    magnitudes: np.ndarray  # float32, finite, non-negative
 
     def __post_init__(self) -> None:
         self.magnitudes = np.ascontiguousarray(self.magnitudes, dtype=np.float32)
         if self.magnitudes.ndim != 4:
             raise ValueError(f"cube must have 4 axes, got shape {self.magnitudes.shape}")
+        if not np.isfinite(self.magnitudes).all():
+            raise ValueError("cube magnitudes must be finite")
         if len(self.magnitudes) and self.magnitudes.min() < 0:
             raise ValueError("cube magnitudes must be non-negative")
+
+
+@functools.lru_cache(maxsize=None)
+def _dft_matrix(n: int, window: bool, shift: bool) -> np.ndarray:
+    """Read-only complex64 n x n DFT matrix, formed in float64.
+
+    window scales column j by the float32 Hanning weight of sample j; shift
+    puts the rows in fftshift order, so zero frequency is row n // 2.
+    """
+    k = np.arange(n)
+    phase = np.outer(np.roll(k, n // 2) if shift else k, k) % n / n
+    weights = np.hanning(n).astype(np.float32) if window else 1.0
+    m = (np.exp(-2j * np.pi * phase) * weights).astype(np.complex64)
+    m.flags.writeable = False
+    return m
 
 
 def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
     """Transform an ADC tensor into a (range, azimuth, elevation, doppler) cube.
 
-    Sample and chirp axes are Hanning-windowed before their FFTs; the angle
-    axes are transformed unwindowed. Doppler and angle axes are fftshifted so
-    zero velocity / boresight land at bin n // 2.
+    Sample and chirp axes are Hanning-windowed; the angle axes are not.
+    Doppler and angle axes are center-shifted so zero velocity / boresight
+    land at bin n // 2. The Doppler product runs last, into the output layout.
     """
     expected = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins, cfg.n_elevation_bins)
     if adc.samples.shape != expected:
@@ -112,19 +131,15 @@ def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
             f"ADC shape {adc.samples.shape} does not match config "
             f"(chirps, samples, az, el) = {expected}"
         )
-    w_chirp = np.hanning(cfg.n_chirps).astype(np.float32)
-    w_sample = np.hanning(cfg.n_samples).astype(np.float32)
-    x = adc.samples * w_chirp[:, None, None, None]
-    x *= w_sample[None, :, None, None]
-
-    x = np.fft.fft(x, axis=1)[:, : cfg.n_range_bins]            # sample -> range
-    x = np.fft.fftshift(np.fft.fft(x, axis=0), axes=0)          # chirp -> doppler
-    x = np.fft.fftshift(np.fft.fft(x, axis=2), axes=2)          # az antenna -> azimuth
-    x = np.fft.fftshift(np.fft.fft(x, axis=3), axes=3)          # el antenna -> elevation
-
-    mag = np.abs(x).astype(np.float32, copy=False)
-    # (doppler, range, az, el) -> (range, az, el, doppler)
-    return RadarCube(np.ascontiguousarray(mag.transpose(1, 2, 3, 0)))
+    n_c, n_s, n_a, n_e = expected
+    n_r = cfg.n_range_bins
+    # Batched products, one small slice per BLAS call: small cubes then stay under the
+    # size at which BLAS wakes a second thread, which stalled 2-core hosts 10-60 ms.
+    x = _dft_matrix(n_s, True, False)[:n_r] @ adc.samples.transpose(0, 2, 1, 3)  # (C, A, R, E)
+    x = _dft_matrix(n_a, False, True) @ x.transpose(0, 2, 1, 3)                  # (C, R, A, E)
+    x = x @ _dft_matrix(n_e, False, True).T                                      # (C, R, A, E)
+    x = x.reshape(n_c, n_r, -1).transpose(1, 2, 0) @ _dft_matrix(n_c, True, True).T
+    return RadarCube(np.abs(x).reshape(n_r, n_a, n_e, n_c))
 
 
 def threshold_cut(peak: float, threshold_db: float) -> float:

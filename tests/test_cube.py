@@ -1,16 +1,26 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from velofusion.cube import (
     AdcCube,
     RadarConfig,
+    RadarCube,
+    _dft_matrix,
     build_radar_cube,
     doppler_bin_velocities,
     threshold_cube,
 )
+from velofusion.io import load_scene
 from velofusion.sim import Scatterer, SceneConfig, simulate_adc
 
-from helpers import bin_to_physical, dft_cube_oracle
+from helpers import bin_to_physical, center_shift, dft_cube_oracle
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 SMALL = RadarConfig(
     n_samples=16,
@@ -38,6 +48,15 @@ def test_adc_cube_rejects_non_finite_samples(bad):
     samples[1, 3, 0, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         AdcCube(samples)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_radar_cube_rejects_non_finite_magnitudes(bad):
+    mag = np.ones((4, 2, 2, 4), dtype=np.float32)
+    RadarCube(mag)
+    mag[1, 0, 1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        RadarCube(mag)
 
 
 def test_config_validation():
@@ -87,6 +106,63 @@ def test_build_matches_direct_dft_one_sided():
     assert np.allclose(cube.magnitudes, want, rtol=1e-4, atol=1e-4 * want.max())
 
 
+@pytest.fixture(scope="module")
+def demo_adc():
+    scene, cfg, _ = load_scene(SCENES / "demo.json")
+    return simulate_adc(scene, 1, cfg), cfg
+
+
+def test_build_matches_direct_dft_on_the_demo_radar(demo_adc):
+    adc, cfg = demo_adc
+    want = dft_cube_oracle(adc.samples, cfg)
+    got = build_radar_cube(adc, cfg).magnitudes
+    assert np.abs(got - want).max() <= 1e-6 * want.max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(*[st.integers(2, 9)] * 4),
+       one_sided=st.booleans())
+def test_build_matches_direct_dft_on_small_shapes(seed, shape, one_sided):
+    """Odd lengths check that each matrix's row order is np.fft.fftshift."""
+    n_chirps, n_samples, n_az, n_el = shape
+    cfg = RadarConfig(n_samples=n_samples, n_chirps=n_chirps, n_azimuth_bins=n_az,
+                      n_elevation_bins=n_el, one_sided_range=one_sided)
+    for n in shape:
+        assert np.array_equal(center_shift(np.arange(n), 0), np.fft.fftshift(np.arange(n)))
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    adc = AdcCube(raw.astype(np.complex64))
+    want = dft_cube_oracle(adc.samples, cfg)
+    got = build_radar_cube(adc, cfg).magnitudes
+    assert got.shape == (cfg.n_range_bins, n_az, n_el, n_chirps)
+    assert np.abs(got - want).max() <= 1e-6 * want.max()
+
+
+def test_cached_dft_matrix_is_read_only():
+    m = _dft_matrix(8, True, True)
+    assert _dft_matrix(8, True, True) is m
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 0
+
+
+def test_build_memory_peak_on_the_demo_radar(demo_adc):
+    adc, cfg = demo_adc
+    build_radar_cube(adc, cfg)  # matrices cached
+    tracemalloc.start()
+    try:
+        build_radar_cube(adc, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * adc.samples.nbytes
+
+
+def test_build_rejects_a_cube_that_overflows_float32():
+    adc = AdcCube(np.full((8, 16, 8, 4), 3e38, dtype=np.complex64))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        build_radar_cube(adc, SMALL)
+
+
 def test_build_is_homogeneous():
     rng = np.random.default_rng(9)
     raw = (rng.standard_normal((8, 16, 8, 4)) + 1j * rng.standard_normal((8, 16, 8, 4)))
@@ -115,19 +191,19 @@ def test_single_target_lands_on_expected_bins():
 
 def test_threshold_examples():
     mag = np.array([10.0, 6.0, 1.0], dtype=np.float32).reshape(3, 1, 1, 1)
-    out = threshold_cube(_cube(mag), 10.0).magnitudes.ravel()
+    out = threshold_cube(RadarCube(mag), 10.0).magnitudes.ravel()
     # relative levels 0, -4.44, -20 dB; the 5 dB floor here is 10 dB
     assert np.allclose(out, [10.0, 6.0, 0.0])
-    out = threshold_cube(_cube(mag), 5.0).magnitudes.ravel()
+    out = threshold_cube(RadarCube(mag), 5.0).magnitudes.ravel()
     assert np.allclose(out, [10.0, 6.0, 0.0])
-    out = threshold_cube(_cube(mag), 25.0).magnitudes.ravel()
+    out = threshold_cube(RadarCube(mag), 25.0).magnitudes.ravel()
     assert np.allclose(out, [10.0, 6.0, 1.0])
 
 
 def test_threshold_keeps_values_or_zeroes_them():
     rng = np.random.default_rng(11)
     mag = rng.random((6, 5, 4, 3)).astype(np.float32)
-    out = threshold_cube(_cube(mag), 5.0).magnitudes
+    out = threshold_cube(RadarCube(mag), 5.0).magnitudes
     changed = out != mag
     assert np.all(out[changed] == 0)
     assert np.all(out <= mag)
@@ -139,24 +215,24 @@ def test_threshold_cut_factor():
     mag = np.zeros((2, 1, 1, 1), dtype=np.float32)
     mag[0] = 1.0
     mag[1] = 0.5624
-    assert threshold_cube(_cube(mag), 5.0).magnitudes[1, 0, 0, 0] > 0
+    assert threshold_cube(RadarCube(mag), 5.0).magnitudes[1, 0, 0, 0] > 0
     mag[1] = 0.5622
-    assert threshold_cube(_cube(mag), 5.0).magnitudes[1, 0, 0, 0] == 0
+    assert threshold_cube(RadarCube(mag), 5.0).magnitudes[1, 0, 0, 0] == 0
 
 
 def test_threshold_idempotent_and_zero_safe():
     rng = np.random.default_rng(12)
     mag = rng.random((4, 4, 2, 6)).astype(np.float32)
-    once = threshold_cube(_cube(mag), 5.0)
+    once = threshold_cube(RadarCube(mag), 5.0)
     twice = threshold_cube(once, 5.0)
     assert np.array_equal(once.magnitudes, twice.magnitudes)
-    zero = threshold_cube(_cube(np.zeros((2, 2, 2, 2), dtype=np.float32)), 5.0)
+    zero = threshold_cube(RadarCube(np.zeros((2, 2, 2, 2), dtype=np.float32)), 5.0)
     assert np.all(zero.magnitudes == 0)
 
 
 def test_threshold_rejects_bad_level():
     with pytest.raises(ValueError):
-        threshold_cube(_cube(np.ones((1, 1, 1, 1), dtype=np.float32)), 0.0)
+        threshold_cube(RadarCube(np.ones((1, 1, 1, 1), dtype=np.float32)), 0.0)
 
 
 def test_bin_to_physical_examples():
@@ -215,9 +291,3 @@ def test_hanning_beats_rectangular_on_sidelobes():
     assert hann >= 30.0
     assert rect >= 12.0
     assert hann > rect
-
-
-def _cube(mag: np.ndarray):
-    from velofusion.cube import RadarCube
-
-    return RadarCube(mag)
