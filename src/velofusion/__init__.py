@@ -39,7 +39,6 @@ from .metrics import (
     MetricsReport,
     ObjectTrack,
     TrackFrame,
-    avae,
     ave,
     build_tracks,
     cluster_points,

@@ -62,9 +62,8 @@ def cmd_process(args: argparse.Namespace) -> int:
             continue
         start = time.perf_counter()
         vc = collapse_doppler(build_radar_cube(bundle.adc, radar), radar)
-        pair = FramePair(np.eye(3), bundle.flow.dt)
-        est = estimate_frame(bundle.lidar, vc, bundle.flow, camera, pair, window,
-                             cond_bound=args.cond_bound)
+        est = estimate_frame(bundle.lidar, vc, bundle.flow, camera, FramePair(bundle.flow.dt),
+                             window, cond_bound=args.cond_bound)
         clouds[bundle.frame_index] = (bundle.timestamp, est)
         elapsed = time.perf_counter() - start
         n_ok = int(np.sum(est.status == 0))

@@ -1,19 +1,17 @@
 """Closed-form fusion of radar radial velocity with optical flow.
 
-For a point q observed at the later frame of a flow pair, three linear
-constraints pin down its full 3D velocity m (expressed in the later camera
-frame, then rotated back into the radar frame):
+The rig is static: the camera has one pose for both frames of a flow pair.
+For a point q observed at the later frame, three linear constraints pin
+down its full 3D velocity m in the camera frame:
 
-    [ R1 - u_p * R3 ]       [ (q1 - u_p * q3) / dt ]
-    [ R2 - v_p * R3 ] * m = [ (q2 - v_p * q3) / dt ]
-    [     r_hat     ]       [        r_dot         ]
+    [ 1  0  -u_p ]       [ (q1 - u_p * q3) / dt ]
+    [ 0  1  -v_p ] * m = [ (q2 - v_p * q3) / dt ]
+    [   r_hat    ]       [        r_dot         ]
 
-R1..R3 are the rows of the rotation carrying earlier-frame vectors into the
-later camera frame, (u_p, v_p) the normalized image coordinates of the
-point's earlier observation (reconstructed by walking its pixel back along
-the flow), and r_dot the radial velocity along the radar line of sight
-r_hat. For a static rig the rotation is the identity and both camera frames
-coincide.
+(u_p, v_p) are the normalized image coordinates of the point's earlier
+observation (reconstructed by walking its pixel back along the flow), and
+r_dot the radial velocity along the radar line of sight r_hat. The first
+two rows say that q - dt * m projects onto (u_p, v_p).
 """
 from __future__ import annotations
 
@@ -59,20 +57,22 @@ def solve_velocities(
     q_cam: np.ndarray,
     r_hat: np.ndarray,
     r_dot: np.ndarray,
-    pair: FramePair,
+    dt: float,
     cond_bound: float = DEFAULT_COND_BOUND,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert the three flow/radial constraints of many points at once.
 
     p_norm (N, 2) holds the normalized image coordinates of the earlier
-    observations, q_cam (N, 3) the positions in the later camera frame,
-    r_hat (N, 3) the unit radar lines of sight and r_dot (N,) the radial
-    velocities. The solved velocities are expressed in the frame the
-    rotation maps from; with an identity rotation everything lives in the
-    one static camera frame. Returns (velocities (N, 3), solved (N,)): a
-    point whose constraint matrix has a non-finite condition number or one
-    that reaches cond_bound is not solved and gets zero velocity.
+    observations, q_cam (N, 3) the positions in the camera frame, r_hat
+    (N, 3) the unit radar lines of sight in that frame, r_dot (N,) the
+    radial velocities and dt the seconds between the frames. Returns
+    (velocities (N, 3) in the camera frame, solved (N,)): a point whose
+    constraint matrix has a non-finite condition number or one that
+    reaches cond_bound (a condition number, so at least 1) is not solved
+    and gets zero velocity.
     """
+    if not cond_bound >= 1:  # written so that NaN fails
+        raise ValueError(f"cond_bound must be >= 1, got {cond_bound!r}")
     p = np.asarray(p_norm, dtype=np.float64).reshape(-1, 2)
     q = np.asarray(q_cam, dtype=np.float64).reshape(-1, 3)
     r_hat = np.asarray(r_hat, dtype=np.float64).reshape(-1, 3)
@@ -82,9 +82,11 @@ def solve_velocities(
     if off_unit.any():
         raise ValueError(f"r_hat must be a unit vector, got norm {norm[off_unit][0]!r}")
     u_p, v_p = p[:, 0], p[:, 1]
-    rot = pair.rotation_a_to_b
-    m = np.stack([rot[0] - u_p[:, None] * rot[2], rot[1] - v_p[:, None] * rot[2], r_hat], axis=1)
-    rhs = np.stack([(q[:, 0] - u_p * q[:, 2]) / pair.dt, (q[:, 1] - v_p * q[:, 2]) / pair.dt,
+    m = np.zeros((len(p), 3, 3))
+    m[:, 0, 0] = m[:, 1, 1] = 1.0
+    m[:, 0, 2], m[:, 1, 2] = 0.0 - u_p, 0.0 - v_p  # not -u_p: a zero u_p gives +0.0
+    m[:, 2] = r_hat
+    rhs = np.stack([(q[:, 0] - u_p * q[:, 2]) / dt, (q[:, 1] - v_p * q[:, 2]) / dt,
                     r_dot], axis=1)
     cond = np.linalg.cond(m)
     solved = np.isfinite(cond) & (cond < cond_bound)
@@ -143,7 +145,7 @@ def estimate_frame(
     rng = cartesian_to_polar(p)[0]
     q_cam = p @ camera.rotation.T + camera.translation
     r_hat_cam = (p / rng[:, None]) @ camera.rotation.T
-    vel_cam, solved = solve_velocities(p_norm, q_cam, r_hat_cam, r_dot[idx], pair, cond_bound)
+    vel_cam, solved = solve_velocities(p_norm, q_cam, r_hat_cam, r_dot[idx], pair.dt, cond_bound)
     status[idx[~solved]] = PointStatus.DEGENERATE_GEOMETRY
     velocities = np.zeros((len(pts), 3))
     velocities[idx[solved]] = vel_cam[solved] @ camera.rotation  # back into the radar frame

@@ -239,22 +239,6 @@ def angular_errors(estimates: np.ndarray, truths: np.ndarray) -> tuple[np.ndarra
     return angles, norm_gt[keep], excluded
 
 
-def avae(estimates: np.ndarray, truths: np.ndarray, weighted: bool = False) -> float:
-    """Average velocity angular error in degrees.
-
-    weighted=True weights each pair by its ground-truth speed, emphasizing
-    fast objects. Near-zero pairs are excluded (count logged).
-    """
-    angles, weights, excluded = angular_errors(estimates, truths)
-    if excluded:
-        logger.info("avae: excluded %d near-zero pairs", excluded)
-    if len(angles) == 0:
-        raise ValueError("no pairs with a measurable direction")
-    if weighted:
-        return float(np.sum(weights * angles) / np.sum(weights))
-    return float(np.mean(angles))
-
-
 @dataclass
 class EvalFrame:
     """Aligned truth/estimate data of one frame, input to track building."""

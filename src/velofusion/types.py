@@ -30,6 +30,8 @@ def check_rotation(rotation: np.ndarray, what: str) -> np.ndarray:
     rot = np.asarray(rotation, dtype=np.float64)
     if rot.shape != (3, 3):
         raise ValueError(f"{what}: expected shape (3, 3), got {rot.shape}")
+    if not np.isfinite(rot).all():
+        raise ValueError(f"{what}: entries must be finite")
     err = np.abs(rot.T @ rot - np.eye(3)).max()
     if err > _ORTHO_TOL:
         raise ValueError(f"{what}: not orthonormal (max |R^T R - I| = {err:.3e})")
@@ -84,14 +86,18 @@ class CameraModel:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))  # meters
 
     def __post_init__(self) -> None:
-        if self.fx <= 0 or self.fy <= 0:
+        if not (self.fx > 0 and self.fy > 0):  # written so that NaN fails
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        if not np.isfinite([self.cx, self.cy]).all():
+            raise ValueError(f"principal point must be finite, got cx={self.cx}, cy={self.cy}")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
         self.rotation = check_rotation(self.rotation, "camera extrinsic rotation")
         self.translation = np.asarray(self.translation, dtype=np.float64)
         if self.translation.shape != (3,):
             raise ValueError(f"translation must be a 3-vector, got {self.translation.shape}")
+        if not np.isfinite(self.translation).all():
+            raise ValueError("translation must be finite")
 
 
 def project_points(points: np.ndarray, camera: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,19 +166,13 @@ class FlowField:
 
 @dataclass
 class FramePair:
-    """Camera pose change between the two frames of a flow measurement.
-
-    rotation_a_to_b re-expresses a vector from the later camera frame (where
-    the solve happens) in the earlier one. Identity for a static rig; camera
-    translation between the frames is folded into the point coordinates by
-    the caller.
+    """The two frames of a flow measurement, dt seconds apart, taken by a
+    static rig: both frames share one camera pose.
     """
 
-    rotation_a_to_b: np.ndarray = field(default_factory=lambda: np.eye(3))
     dt: float = 0.1  # seconds
 
     def __post_init__(self) -> None:
-        self.rotation_a_to_b = check_rotation(self.rotation_a_to_b, "frame pair rotation")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 

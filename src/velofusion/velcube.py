@@ -34,8 +34,9 @@ class VelocityCube:
             )
         if np.any(self.velocity[~self.valid] != 0):
             raise ValueError("invalid voxels must carry zero velocity")
-        if self.valid.any() and np.abs(self.velocity[self.valid]).max() > self.config.max_speed:
-            raise ValueError("voxel velocity exceeds the unambiguous interval")
+        if not (np.abs(self.velocity[self.valid]) <= self.config.max_speed).all():  # NaN fails
+            raise ValueError("valid voxel velocities must be finite and within the "
+                             "unambiguous interval")
 
 
 @dataclass

@@ -203,8 +203,7 @@ def oracle_estimate_frame(cloud, vc, flow, camera, pair, window, cond_bound=1e6)
         x, y, z = point
         rng = np.sqrt(x * x + y * y + z * z)
         q = camera.rotation @ point + camera.translation
-        rot = pair.rotation_a_to_b
-        m = np.array([rot[0] - u_p * rot[2], rot[1] - v_p * rot[2],
+        m = np.array([[1.0, 0.0, 0.0 - u_p], [0.0, 1.0, 0.0 - v_p],
                       camera.rotation @ (point / rng)])
         cond = np.linalg.cond(m)
         if not np.isfinite(cond) or cond >= cond_bound:
@@ -433,6 +432,14 @@ def oracle_build_tracks(frames, eps: float, min_points: int) -> list[ObjectTrack
                 next_active[track.track_id] = track
         active = next_active
     return tracks
+
+
+def single_frame_tracks(estimates: np.ndarray, truths: np.ndarray) -> list[ObjectTrack]:
+    """One single-frame track per (estimate, truth) row, centered on +x, so
+    that evaluate_tracks scores exactly these rows, in order."""
+    return [ObjectTrack(i, [TrackFrame(0, 0.0, np.array([1.0, 0.0, 0.0]), est, gt, 1, 1)])
+            for i, (est, gt) in enumerate(zip(np.asarray(estimates, dtype=np.float64),
+                                              np.asarray(truths, dtype=np.float64)))]
 
 
 def advance_scene(scene: SceneConfig, n_frames: int = 1) -> SceneConfig:

@@ -17,12 +17,12 @@ from velofusion.cli import main
 from velofusion.cube import RadarConfig, RadarCube, build_radar_cube, threshold_cube
 from velofusion.fusion import estimate_frame, solve_velocities
 from velofusion.io import FormatError, load_scene, read_tensor, write_tensor
-from velofusion.metrics import EvalFrame, avae, ave, build_tracks, evaluate_tracks
+from velofusion.metrics import EvalFrame, build_tracks, evaluate_tracks
 from velofusion.sim import Scatterer, SceneConfig, ground_truth_velocities, simulate_adc, synth_flow, synth_lidar
 from velofusion.types import FramePair
 from velofusion.velcube import ContextWindow, collapse_doppler
 
-from helpers import bin_to_physical, random_rotation, window_coverage
+from helpers import bin_to_physical, single_frame_tracks, window_coverage
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -82,22 +82,19 @@ def test_closed_form_round_trip():
     done = 0
     start = time.perf_counter()
     while done < 1000:
-        rot = random_rotation(rng, max_angle=np.radians(10.0))
         dt = rng.uniform(0.02, 0.2)
         truth = rng.uniform(-2.0, 2.0, 3)
         q = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0), rng.uniform(1.0, 8.0)])
-        p = q - dt * (rot @ truth)
+        p = q - dt * truth
         if p[2] < 0.2:
             continue
         u_p, v_p = p[0] / p[2], p[1] / p[2]
-        los = rot.T @ q
-        r_hat = los / np.linalg.norm(los)
-        m = np.vstack([rot[0] - u_p * rot[2], rot[1] - v_p * rot[2], r_hat])
+        r_hat = q / np.linalg.norm(q)
+        m = np.vstack([[1.0, 0.0, -u_p], [0.0, 1.0, -v_p], r_hat])
         if np.linalg.cond(m) >= 1e4:
             continue
         # One point; an unsolved one reads zero velocity and fails the bound.
-        vel = solve_velocities((u_p, v_p), q, r_hat, [float(r_hat @ truth)],
-                               FramePair(rot, dt))[0][0]
+        vel = solve_velocities((u_p, v_p), q, r_hat, [float(r_hat @ truth)], dt)[0][0]
         worst = max(worst, np.linalg.norm(vel - truth) / max(np.linalg.norm(truth), 1e-30))
         done += 1
     elapsed = time.perf_counter() - start
@@ -191,7 +188,8 @@ def _brute_avae(est, truth, weighted):
 
 
 def test_metric_oracles():
-    """AVE/AVAE agree with a pure-Python recomputation; hand example exact."""
+    """AVE/AVAE as evaluate_tracks scores them agree with a pure-Python
+    recomputation; hand example exact."""
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(100):
@@ -199,18 +197,19 @@ def test_metric_oracles():
         est = rng.uniform(-3, 3, (n, 3))
         truth = rng.uniform(-3, 3, (n, 3))
         truth[rng.random(n) < 0.1] = 0.0  # exercise the zero-truth exclusion
+        report = evaluate_tracks(single_frame_tracks(est, truth))
         pairs = [
-            (ave(est, truth), _brute_ave(est.tolist(), truth.tolist())),
-            (avae(est, truth), _brute_avae(est.tolist(), truth.tolist(), False)),
-            (avae(est, truth, weighted=True), _brute_avae(est.tolist(), truth.tolist(), True)),
+            (report.ave, _brute_ave(est.tolist(), truth.tolist())),
+            (report.avae_deg, _brute_avae(est.tolist(), truth.tolist(), False)),
+            (report.avae_weighted_deg, _brute_avae(est.tolist(), truth.tolist(), True)),
         ]
         for got, want in pairs:
             worst = max(worst, abs(got - want) / max(abs(want), 1e-30))
     # angles 30 and 90 degrees with truth speeds 2 and 1
     est = np.array([[math.sqrt(3) / 2, 0.5, 0.0], [1.0, 0.0, 0.0]])
     truth = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    hand_plain = avae(est, truth)
-    hand_weighted = avae(est, truth, weighted=True)
+    report = evaluate_tracks(single_frame_tracks(est, truth))
+    hand_plain, hand_weighted = report.avae_deg, report.avae_weighted_deg
     ok = worst < 1e-12 and abs(hand_plain - 60.0) < 1e-9 and abs(hand_weighted - 50.0) < 1e-9
     _report(
         "metric oracles (100 random instances + hand example)", ok,

@@ -78,6 +78,36 @@ def test_process_applies_the_manifest_threshold(pipeline_dirs, tmp_path, thresho
                for i in got)
 
 
+def test_process_applies_window_and_cond_bound_flags(pipeline_dirs, tmp_path):
+    frames, vel, _ = pipeline_dirs
+    assert main(["process", "--in", str(frames), "--out", str(tmp_path / "vel"),
+                 "--window-az", "1", "--window-el", "1", "--window-range", "1",
+                 "--cond-bound", "5"]) == 0
+    got, _ = read_velocity_sequence(tmp_path / "vel")
+    at_default, _ = read_velocity_sequence(vel)
+    bundles, radar, camera, _ = read_frame_sequence(frames)
+    for bundle in bundles[1:]:
+        vc = collapse_doppler(build_radar_cube(bundle.adc, radar), radar)
+        want = estimate_frame(bundle.lidar, vc, bundle.flow, camera,
+                              FramePair(dt=bundle.flow.dt), ContextWindow(1, 1, 1), 5.0)
+        assert np.array_equal(got[bundle.frame_index][1].status, want.status)
+        assert np.array_equal(got[bundle.frame_index][1].velocities, want.velocities)
+    assert any(not np.array_equal(got[i][1].status, at_default[i][1].status) for i in got)
+
+
+@pytest.mark.parametrize("cond_bound", ["nan", "0", "-5"])
+def test_process_rejects_a_bad_cond_bound(pipeline_dirs, tmp_path, capsys, cond_bound):
+    frames, _, _ = pipeline_dirs
+    capsys.readouterr()
+    code = main(["process", "--in", str(frames), "--out", str(tmp_path / "vel"),
+                 f"--cond-bound={cond_bound}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cond_bound must be >= 1" in err
+    assert not (tmp_path / "vel").exists()
+
+
 def test_process_prints_per_frame_timing(pipeline_dirs, capsys, tmp_path):
     frames, _, _ = pipeline_dirs
     main(["process", "--in", str(frames), "--out", str(tmp_path / "vel2")])
@@ -167,6 +197,24 @@ def test_non_finite_scene_fails_cleanly(tmp_path, capsys, bad):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "scatterers[0]: non-finite position" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("translation", [0.0, float("nan"), 0.0], "translation must be finite"),
+    ("rotation", [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, float("nan")]],
+     "rotation: entries must be finite"),
+])
+def test_non_finite_camera_scene_fails_cleanly(tmp_path, capsys, key, value, message):
+    scene = tmp_path / "scene.json"
+    obj = json.loads((SCENES / "tiny.json").read_text())
+    scene.write_text(json.dumps(set_scene_field(obj, "camera", key, value)))
+    assert "NaN" in scene.read_text()
+    code = main(["simulate", "--scene", str(scene), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
     assert not (tmp_path / "out").exists()
 
 

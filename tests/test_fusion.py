@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,28 @@ def test_projection_uses_extrinsics():
     assert u < 320.0
 
 
+_CALIBRATION = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("fx", 0.0, "focal lengths"),
+    ("fy", -1.0, "focal lengths"),
+    ("fx", np.nan, "focal lengths"),
+    ("cx", np.nan, "principal point"),
+    ("cy", np.inf, "principal point"),
+    ("rotation", np.full((3, 3), np.nan), "rotation: entries must be finite"),
+    ("rotation", np.diag([1.0, 1.0, np.nan]), "rotation: entries must be finite"),
+    ("rotation", np.diag([1.0, 1.0, 2.0]), "not orthonormal"),
+    ("rotation", np.diag([1.0, 1.0, -1.0]), "determinant"),
+    ("translation", [0.0, np.nan, 0.0], "translation must be finite"),
+    ("translation", [0.0, 0.0, -np.inf], "translation must be finite"),
+])
+def test_camera_model_rejects_bad_calibration(key, value, message):
+    CameraModel(**_CALIBRATION)
+    with pytest.raises(ValueError, match=message):
+        CameraModel(**{**_CALIBRATION, key: value})
+
+
 def test_read_flow():
     flow = np.zeros((20, 30, 2), dtype=np.float32)
     covered = np.zeros((20, 30), dtype=bool)
@@ -107,56 +131,53 @@ def test_velocity_point_cloud_rejects_non_finite_velocities():
             VelocityPointCloud(positions, velocities, status)
 
 
-def _solve_one(p_norm, q, r_hat, r_dot, pair):
+def _solve_one(p_norm, q, r_hat, r_dot, dt=0.1):
     """solve_velocities for one point (one-row arrays): (velocity (3,), solved)."""
-    vel, solved = solve_velocities(p_norm, q, r_hat, [r_dot], pair)
+    vel, solved = solve_velocities(p_norm, q, r_hat, [r_dot], dt)
     return vel[0], bool(solved[0])
 
 
 def test_solve_stationary_point_is_zero():
     q = np.array([0.5, -0.2, 2.0])
-    vel, solved = _solve_one((0.25, -0.1), q, q / np.linalg.norm(q), 0.0, FramePair())
+    vel, solved = _solve_one((0.25, -0.1), q, q / np.linalg.norm(q), 0.0)
     assert solved
     assert np.allclose(vel, 0.0, atol=1e-12)
 
 
 def test_solve_pure_radial_motion():
-    vel, solved = _solve_one((0.0, 0.0), [0.0, 0.0, 2.0], [0.0, 0.0, 1.0], 0.5, FramePair())
+    vel, solved = _solve_one((0.0, 0.0), [0.0, 0.0, 2.0], [0.0, 0.0, 1.0], 0.5)
     assert solved
     assert np.allclose(vel, [0.0, 0.0, 0.5], atol=1e-12)
 
 
 def test_solve_requires_unit_r_hat():
     with pytest.raises(ValueError, match="unit"):
-        _solve_one((0.0, 0.0), [0.0, 0.0, 2.0], [0.0, 0.0, 1.1], 0.5, FramePair())
+        _solve_one((0.0, 0.0), [0.0, 0.0, 2.0], [0.0, 0.0, 1.1], 0.5)
 
 
 def test_solve_degenerate_geometry():
     # r_hat lies in the span of the two flow rows: singular system
-    vel, solved = _solve_one((0.0, 0.0), [0.0, 0.0, 2.0], [1.0, 0.0, 0.0], 0.5, FramePair())
+    vel, solved = _solve_one((0.0, 0.0), [0.0, 0.0, 2.0], [1.0, 0.0, 0.0], 0.5)
     assert not solved
     assert np.all(vel == 0)
 
 
 def _forward_instance(rng):
-    """Generate a consistent (p_norm, q, r_hat, r_dot, pair, truth) tuple.
+    """Generate a consistent (p_norm, q, r_hat, r_dot, dt, truth) tuple.
 
-    The later-frame position q and earlier-frame velocity truth are drawn,
-    the earlier observation is reconstructed by moving the point backwards
-    with the pair rotation applied.
+    The later-frame position q and the velocity truth are drawn, the earlier
+    observation is reconstructed by moving the point backwards.
     """
-    rot = random_rotation(rng, max_angle=np.radians(10.0))
     dt = rng.uniform(0.02, 0.2)
     truth = rng.uniform(-2.0, 2.0, 3)
     q = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0), rng.uniform(1.0, 8.0)])
-    p = q - dt * (rot @ truth)
+    p = q - dt * truth
     if p[2] < 0.2:
         return None
     p_norm = (p[0] / p[2], p[1] / p[2])
-    los = rot.T @ q
-    r_hat = los / np.linalg.norm(los)
+    r_hat = q / np.linalg.norm(q)
     r_dot = float(r_hat @ truth)
-    return p_norm, q, r_hat, r_dot, FramePair(rot, dt), truth
+    return p_norm, q, r_hat, r_dot, dt, truth
 
 
 def test_solve_round_trip_many():
@@ -166,8 +187,8 @@ def test_solve_round_trip_many():
         inst = _forward_instance(rng)
         if inst is None:
             continue
-        p_norm, q, r_hat, r_dot, pair, truth = inst
-        vel, solved = _solve_one(p_norm, q, r_hat, r_dot, pair)
+        p_norm, q, r_hat, r_dot, dt, truth = inst
+        vel, solved = _solve_one(p_norm, q, r_hat, r_dot, dt)
         if not solved:
             continue
         assert np.linalg.norm(vel - truth) <= 1e-9 * max(np.linalg.norm(truth), 1.0)
@@ -175,16 +196,13 @@ def test_solve_round_trip_many():
 
 
 def test_solve_is_frame_rate_invariant():
-    rng = np.random.default_rng(43)
-    rot = random_rotation(rng, max_angle=0.1)
     truth = np.array([0.4, -0.2, 0.6])
     q = np.array([0.3, 0.1, 3.0])
+    r_hat = q / np.linalg.norm(q)
     for dt in (0.1, 0.05):
-        p = q - dt * (rot @ truth)
+        p = q - dt * truth
         p_norm = (p[0] / p[2], p[1] / p[2])
-        los = rot.T @ q
-        r_hat = los / np.linalg.norm(los)
-        vel, solved = _solve_one(p_norm, q, r_hat, float(r_hat @ truth), FramePair(rot, dt))
+        vel, solved = _solve_one(p_norm, q, r_hat, float(r_hat @ truth), dt)
         assert solved
         assert np.allclose(vel, truth, atol=1e-10)
 
@@ -378,15 +396,14 @@ def test_solve_velocities_matches_one_point_solves():
     q = np.array([inst[1] for inst in insts])
     r_hat = np.array([inst[2] for inst in insts])
     r_dot = np.array([inst[3] for inst in insts])
-    pair = FramePair(random_rotation(rng, max_angle=np.radians(10.0)), 0.1)
-    # at p_norm (0, 0) the flow rows are the rotation's first two rows; an
-    # r_hat equal to one of them makes the system singular
+    # at p_norm (0, 0) the flow rows are the x and y axes; an r_hat along
+    # one of them makes the system singular
     p_norm[0] = [0.0, 0.0]
-    r_hat[0] = pair.rotation_a_to_b[0]
-    vel, solved = solve_velocities(p_norm, q, r_hat, r_dot, pair)
+    r_hat[0] = [1.0, 0.0, 0.0]
+    vel, solved = solve_velocities(p_norm, q, r_hat, r_dot, 0.1)
     assert not solved[0] and np.all(vel[0] == 0)
     for k in range(1, len(insts)):
-        one, one_solved = _solve_one(p_norm[k], q[k], r_hat[k], r_dot[k], pair)
+        one, one_solved = _solve_one(p_norm[k], q[k], r_hat[k], r_dot[k], 0.1)
         assert solved[k] == one_solved
         np.testing.assert_array_equal(vel[k], one)
 
@@ -402,10 +419,17 @@ ORACLE_RADAR = RadarConfig(n_samples=32, n_chirps=8, n_azimuth_bins=8, n_elevati
 AHEAD_CAMERA = CameraModel(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480,
                            rotation=default_camera().rotation,
                            translation=np.array([0.05, -0.02, -1.0]))
-# Turning the camera 90 deg about its y axis between the frames makes the
-# earlier viewing ray of the image's center row perpendicular to the radar
-# line of sight: a singular constraint matrix.
-QUARTER_TURN = FramePair(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]), 0.1)
+# A camera 2 m ahead of the radar and 2 m to its left, looking along radar
+# -y. Under zero flow a point's constraint matrix is singular exactly when
+# its camera ray is perpendicular to its radar line of sight, that is on the
+# sphere whose diameter runs from the radar origin to the camera center.
+SIDE_CENTER = np.array([2.0, 2.0, 0.0])
+SIDE_ROTATION = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
+SIDE_CAMERA = CameraModel(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480,
+                          rotation=SIDE_ROTATION, translation=-SIDE_ROTATION @ SIDE_CENTER)
+_SIDE_ANGLES = np.radians([-45.0, -40.0, -35.0, -30.0])
+ON_SIDE_SPHERE = SIDE_CENTER / 2 + np.sqrt(2.0) * np.stack(
+    [np.cos(_SIDE_ANGLES), np.sin(_SIDE_ANGLES), np.zeros(4)], axis=1)
 
 
 def _oracle_scene(rng, n_points=300, density=0.1, coverage=0.7):
@@ -447,9 +471,8 @@ def test_estimate_frame_matches_oracle(window, camera):
     seen = np.zeros(len(PointStatus), dtype=int)
     for density in (0.02, 0.2):
         cloud, vc, flow = _oracle_scene(rng, density=density)
-        for pair in (FramePair(), FramePair(random_rotation(rng, 0.2), 0.1)):
-            out = _assert_matches_oracle(cloud, vc, flow, camera, pair, window)
-            seen += np.bincount(out.status, minlength=len(PointStatus))
+        out = _assert_matches_oracle(cloud, vc, flow, camera, FramePair(), window)
+        seen += np.bincount(out.status, minlength=len(PointStatus))
     assert seen[PointStatus.OK] and seen[PointStatus.OUT_OF_CAMERA] and \
         seen[PointStatus.OUT_OF_RADAR_FOV]
     if window.range_extent < 20:
@@ -469,15 +492,20 @@ def test_estimate_frame_matches_oracle_behind_camera_and_uncovered():
 
 @pytest.mark.parametrize("cond_bound", [1e6, 50.0, 1.0])
 def test_estimate_frame_matches_oracle_degenerate_rotation(cond_bound):
+    """The side camera's extrinsic rotation puts points on the singular sphere."""
     rng = np.random.default_rng(67)
     cloud, vc, flow = _oracle_scene(rng, density=1.0, coverage=1.0)
     flow = FlowField(np.zeros_like(flow.flow), flow.covered, flow.dt)
-    out = _assert_matches_oracle(cloud, vc, flow, default_camera(), QUARTER_TURN,
+    points = cloud.positions.copy()
+    points[4:8] = ON_SIDE_SPHERE
+    points[8:12] = ON_SIDE_SPHERE * [1.05, 1.0, 1.0]  # just off the sphere
+    out = _assert_matches_oracle(PointCloud(points), vc, flow, SIDE_CAMERA, FramePair(),
                                  ContextWindow(), cond_bound)
-    degenerate = out.status == PointStatus.DEGENERATE_GEOMETRY
-    assert np.all(degenerate[4:8])  # center row points under the quarter turn
+    assert np.all(out.status[4:8] == PointStatus.DEGENERATE_GEOMETRY)
     if cond_bound == 1.0:
         assert not np.any(out.status == PointStatus.OK)
+    else:
+        assert np.all(out.status[8:12] == PointStatus.OK)
 
 
 @settings(max_examples=25, deadline=None)
@@ -486,10 +514,10 @@ def test_estimate_frame_permutation_equivariant(seed, n_points):
     rng = np.random.default_rng(seed)
     cloud, vc, flow = _oracle_scene(rng, n_points=max(n_points, 12))
     cloud = PointCloud(cloud.positions[:n_points])
-    camera = default_camera()
-    pair = FramePair(random_rotation(rng, 0.2), 0.1)
+    camera = replace(default_camera(),
+                     rotation=random_rotation(rng, 0.2) @ default_camera().rotation)
     perm = rng.permutation(n_points)
-    base = estimate_frame(cloud, vc, flow, camera, pair)
-    shuffled = estimate_frame(PointCloud(cloud.positions[perm]), vc, flow, camera, pair)
+    base = estimate_frame(cloud, vc, flow, camera, FramePair())
+    shuffled = estimate_frame(PointCloud(cloud.positions[perm]), vc, flow, camera, FramePair())
     np.testing.assert_array_equal(shuffled.status, base.status[perm])
     np.testing.assert_array_equal(shuffled.velocities, base.velocities[perm])

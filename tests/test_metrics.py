@@ -11,7 +11,6 @@ from velofusion.metrics import (
     ObjectTrack,
     TrackFrame,
     angular_errors,
-    avae,
     ave,
     build_tracks,
     cluster_points,
@@ -21,7 +20,7 @@ from velofusion.metrics import (
 )
 from velofusion.types import PointStatus
 
-from helpers import oracle_build_tracks, oracle_cluster_points
+from helpers import oracle_build_tracks, oracle_cluster_points, single_frame_tracks
 
 
 def _blob(center, n, rng, sigma=0.05):
@@ -229,23 +228,28 @@ def test_decompose_batches_rows():
         decompose_radial_tangential(v, p)
 
 
+def _avae(est, truth):
+    """(plain, weighted) AVAE in degrees as evaluate_tracks scores the rows."""
+    report = evaluate_tracks(single_frame_tracks(est, truth))
+    return report.avae_deg, report.avae_weighted_deg
+
+
 def test_avae_examples():
     est = np.array([[1.0, 0.0, 0.0]])
-    assert avae(est, est) == pytest.approx(0.0)
-    assert avae(est, np.array([[0.0, 2.0, 0.0]])) == pytest.approx(90.0)
+    assert _avae(est, est) == pytest.approx((0.0, 0.0))
+    assert _avae(est, np.array([[0.0, 2.0, 0.0]])) == pytest.approx((90.0, 90.0))
     # two pairs at 90 and 30 degrees, truth norms 1 and 3:
     # unweighted (90 + 30) / 2 = 60, weighted (90 + 3 * 30) / 4 = 45
     est = np.array([[0.0, 1.0, 0.0], [np.sqrt(3.0) / 2, 0.5, 0.0]])
     truth = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-    assert avae(est, truth) == pytest.approx(60.0)
-    assert avae(est, truth, weighted=True) == pytest.approx(45.0)
+    assert _avae(est, truth) == pytest.approx((60.0, 45.0))
 
 
 def test_avae_scale_invariance():
     rng = np.random.default_rng(79)
     est = rng.standard_normal((20, 3))
     truth = rng.standard_normal((20, 3))
-    assert avae(3.0 * est, truth) == pytest.approx(avae(est, truth))
+    assert _avae(3.0 * est, truth) == pytest.approx(_avae(est, truth))
 
 
 def test_avae_excludes_near_zero_pairs():
@@ -255,9 +259,9 @@ def test_avae_excludes_near_zero_pairs():
     assert excluded == 1
     assert len(angles) == 1
     assert angles[0] == pytest.approx(90.0)
-    assert avae(est, truth) == pytest.approx(90.0)
-    with pytest.raises(ValueError):
-        avae(truth[1:] * 0.0, truth[1:])  # every pair excluded
+    assert _avae(est, truth) == pytest.approx((90.0, 90.0))
+    # every pair excluded: no direction is scored, and the report reads 0 deg
+    assert _avae(truth[1:], truth[1:]) == (0.0, 0.0)
 
 
 def test_centroid_velocity():

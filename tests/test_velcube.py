@@ -125,9 +125,10 @@ def test_velocity_cube_validation():
         VelocityCube(vel, valid, cfg)
     valid[0, 0, 0] = True
     VelocityCube(vel, valid, cfg)
-    vel[0, 0, 0] = 99.0  # beyond the unambiguous span
-    with pytest.raises(ValueError):
-        VelocityCube(vel, valid, cfg)
+    for bad in (99.0, np.nan, np.inf, -np.inf):  # beyond the unambiguous span, or not a number
+        vel[0, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite and within the unambiguous interval"):
+            VelocityCube(vel, valid, cfg)
 
 
 def test_cartesian_to_polar_examples():
