@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .cube import build_radar_cube
-from .fusion import DEFAULT_COND_BOUND, estimate_frame
+from .fusion import DEFAULT_COND_BOUND, check_cond_bound, estimate_frame
 from .io import (
     FrameBundle,
     load_scene,
@@ -54,8 +54,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_process(args: argparse.Namespace) -> int:
-    bundles, radar, camera, frame_interval = read_frame_sequence(args.in_dir)
+    # The flags are checked before any frame is read.
     window = ContextWindow(args.window_az, args.window_el, args.window_range)
+    check_cond_bound(args.cond_bound)
+    bundles, radar, camera, frame_interval = read_frame_sequence(args.in_dir)
     clouds = {}
     for bundle in bundles:
         if bundle.adc is None or bundle.lidar is None or bundle.flow is None:

@@ -5,7 +5,8 @@ Each axis is transformed by a product with its complex64 DFT matrix, which
 carries the Hanning window on the sample and chirp axes and the center shift
 on the others, giving a magnitude cube indexed (range, azimuth, elevation,
 doppler). The Doppler and both angle axes are center-shifted so zero velocity
-and boresight sit at the middle bin; the range axis is left unshifted.
+and boresight sit at the middle bin; the range axis is left unshifted and
+keeps one bin per sample of the complex-baseband spectrum.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ class RadarConfig:
 
     Angle bins map linearly across the field of view with boresight at the
     center bin, so one azimuth bin spans azimuth_fov / n_azimuth_bins radians.
-    With one_sided_range=False the full complex-baseband range spectrum is
-    kept (n_samples bins); True keeps the lower half only.
+    The range axis keeps the full complex-baseband spectrum: n_samples bins.
     """
 
     n_samples: int = 128
@@ -35,7 +35,6 @@ class RadarConfig:
     azimuth_fov: float = math.radians(64.0)     # rad
     elevation_fov: float = math.radians(40.0)   # rad
     threshold_db: float = 5.0                   # relative intensity cut
-    one_sided_range: bool = False
 
     def __post_init__(self) -> None:
         for name in ("n_samples", "n_chirps", "n_azimuth_bins", "n_elevation_bins"):
@@ -48,7 +47,7 @@ class RadarConfig:
 
     @property
     def n_range_bins(self) -> int:
-        return self.n_samples // 2 if self.one_sided_range else self.n_samples
+        return self.n_samples
 
     @property
     def max_range(self) -> float:
@@ -132,14 +131,13 @@ def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
             f"(chirps, samples, az, el) = {expected}"
         )
     n_c, n_s, n_a, n_e = expected
-    n_r = cfg.n_range_bins
     # Batched products, one small slice per BLAS call: small cubes then stay under the
     # size at which BLAS wakes a second thread, which stalled 2-core hosts 10-60 ms.
-    x = _dft_matrix(n_s, True, False)[:n_r] @ adc.samples.transpose(0, 2, 1, 3)  # (C, A, R, E)
+    x = _dft_matrix(n_s, True, False) @ adc.samples.transpose(0, 2, 1, 3)        # (C, A, R, E)
     x = _dft_matrix(n_a, False, True) @ x.transpose(0, 2, 1, 3)                  # (C, R, A, E)
     x = x @ _dft_matrix(n_e, False, True).T                                      # (C, R, A, E)
-    x = x.reshape(n_c, n_r, -1).transpose(1, 2, 0) @ _dft_matrix(n_c, True, True).T
-    return RadarCube(np.abs(x).reshape(n_r, n_a, n_e, n_c))
+    x = x.reshape(n_c, n_s, -1).transpose(1, 2, 0) @ _dft_matrix(n_c, True, True).T
+    return RadarCube(np.abs(x).reshape(n_s, n_a, n_e, n_c))
 
 
 def threshold_cut(peak: float, threshold_db: float) -> float:
@@ -164,8 +162,6 @@ def threshold_cube(cube: RadarCube, threshold_db: float) -> RadarCube:
     mag = cube.magnitudes
     peak = float(mag.max()) if mag.size else 0.0
     cut = threshold_cut(peak, threshold_db)
-    if peak == 0.0:
-        return RadarCube(mag.copy())
     return RadarCube(np.where(mag >= cut, mag, 0.0).astype(np.float32))
 
 

@@ -39,6 +39,12 @@ from .velcube import (
 DEFAULT_COND_BOUND = 1e6
 
 
+def check_cond_bound(cond_bound: float) -> None:
+    """Reject a cond_bound that is no condition number bound: one below 1, or NaN."""
+    if not cond_bound >= 1:  # written so that NaN fails
+        raise ValueError(f"cond_bound must be >= 1, got {cond_bound!r}")
+
+
 def read_flow(flow: FlowField, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flow vectors (N, 2) at the nearest pixels to (u, v), and a mask of the
     points that land on a covered pixel; the rest read zero flow. NaN
@@ -71,8 +77,7 @@ def solve_velocities(
     reaches cond_bound (a condition number, so at least 1) is not solved
     and gets zero velocity.
     """
-    if not cond_bound >= 1:  # written so that NaN fails
-        raise ValueError(f"cond_bound must be >= 1, got {cond_bound!r}")
+    check_cond_bound(cond_bound)
     p = np.asarray(p_norm, dtype=np.float64).reshape(-1, 2)
     q = np.asarray(q_cam, dtype=np.float64).reshape(-1, 3)
     r_hat = np.asarray(r_hat, dtype=np.float64).reshape(-1, 3)

@@ -19,7 +19,7 @@ import json
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Collection
 
@@ -170,51 +170,51 @@ def _non_negative_int(value, where: str, key: str) -> int:
     return value
 
 
-def _bool(value, where: str, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise FormatError(f"{where}: '{key}' must be true or false, got {value!r}")
+def _numbers(value, where: str, key: str):
+    """A number or a rectangular nested list of numbers, never a bool."""
+    level = [value]
+    while level and all(isinstance(v, list) and len(v) == len(level[0]) for v in level):
+        level = [x for v in level for x in v]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in level):
+        raise FormatError(f"{where}: '{key}' must be a number or a rectangular nested "
+                          f"list of numbers, got {value!r}")
     return value
 
 
-# Type checks by annotation (the dataclasses' modules postpone annotations, so
-# these are strings); fields of any other type are checked by the dataclass.
-_FIELD_CHECKS = {"int": _non_negative_int, "float": _number, "bool": _bool}
+# The JSON check of a settings field, by its annotation (the dataclasses'
+# modules postpone annotations, so these are strings). The shape of a vector
+# or matrix and the finiteness of its entries are left to the dataclass.
+_FIELD_CHECKS = {
+    "int": _non_negative_int,
+    "float": _number,
+    "np.ndarray": _numbers,
+    "tuple[float, float, float]": _numbers,
+}
 
 
-def _take_fields(obj: dict, where: str, cls) -> dict:
-    """Take every field of dataclass cls that obj sets out of obj, with int
-    fields checked to be integers >= 0, float fields finite numbers and bool
-    fields JSON booleans."""
-    kwargs = {}
+def _settings(cls, obj, where: str, preset: dict | None = None):
+    """The settings dataclass cls built from a JSON object over the preset
+    field values, each field the object sets checked by its annotation. A
+    field that neither the object, the preset nor a default sets is a
+    missing key, and any key that is not a field is unknown."""
+    obj = _object(obj, where)
+    kwargs = dict(preset or {})
     for f in fields(cls):
         if f.name in obj:
-            check = _FIELD_CHECKS.get(f.type)
-            value = obj.pop(f.name)
-            kwargs[f.name] = check(value, where, f.name) if check else value
-    return kwargs
-
-
-def radar_config_to_dict(cfg: RadarConfig) -> dict:
-    return asdict(cfg)
-
-
-def radar_config_from_dict(obj: dict, where: str) -> RadarConfig:
-    obj = _object(obj, where)
-    kwargs = _take_fields(obj, where, RadarConfig)
+            kwargs[f.name] = _FIELD_CHECKS[f.type](obj.pop(f.name), where, f.name)
+        elif f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise FormatError(f"{where}: missing required key '{f.name}'")
     _reject_extras(obj, where)
     try:
-        return RadarConfig(**kwargs)
+        return cls(**kwargs)
     except (TypeError, ValueError) as err:
         raise FormatError(f"{where}: {err}") from None
 
 
-def camera_to_dict(camera: CameraModel) -> dict:
-    return {
-        "fx": camera.fx, "fy": camera.fy, "cx": camera.cx, "cy": camera.cy,
-        "width": camera.width, "height": camera.height,
-        "rotation": camera.rotation.tolist(),
-        "translation": camera.translation.tolist(),
-    }
+def _settings_dict(settings) -> dict:
+    """The JSON object of a settings dataclass: asdict, arrays as lists."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in asdict(settings).items()}
 
 
 # Forward-looking rig: camera optical axis along radar +x, image x right
@@ -227,15 +227,13 @@ def default_camera() -> CameraModel:
                        rotation=np.array(FORWARD_CAMERA_ROTATION), translation=np.zeros(3))
 
 
-def camera_from_dict(obj: dict, where: str) -> CameraModel:
-    """A camera from its JSON object; unset fields keep default_camera()'s."""
-    obj = _object(obj, where)
-    kwargs = _take_fields(obj, where, CameraModel)
-    _reject_extras(obj, where)
-    try:
-        return replace(default_camera(), **kwargs)
-    except (TypeError, ValueError) as err:
-        raise FormatError(f"{where}: {err}") from None
+def _radar_and_camera(obj: dict, where: str) -> tuple[RadarConfig, CameraModel]:
+    """The radar and camera blocks taken out of obj; unset camera fields keep
+    default_camera()'s values."""
+    radar_obj = _take(obj, where, "radar", {})
+    camera_obj = _take(obj, where, "camera", {})
+    return (_settings(RadarConfig, radar_obj, f"{where}: radar"),
+            _settings(CameraModel, camera_obj, f"{where}: camera", vars(default_camera())))
 
 
 def load_scene(path: str | Path) -> tuple[SceneConfig, RadarConfig, CameraModel]:
@@ -246,28 +244,10 @@ def load_scene(path: str | Path) -> tuple[SceneConfig, RadarConfig, CameraModel]
     raw_scatterers = _take(obj, where, "scatterers", required=True)
     if not isinstance(raw_scatterers, list):
         raise FormatError(f"{where}: 'scatterers' must be a list")
-    scatterers = []
-    for i, entry in enumerate(raw_scatterers):
-        swhere = f"{where}: scatterers[{i}]"
-        entry = _object(entry, swhere)
-        pos = _take(entry, swhere, "position", required=True)
-        vel = _take(entry, swhere, "velocity", required=True)
-        amp = _take(entry, swhere, "amplitude", 1.0)
-        _reject_extras(entry, swhere)
-        try:
-            scatterers.append(Scatterer(tuple(pos), tuple(vel), amp))
-        except (TypeError, ValueError) as err:
-            raise FormatError(f"{swhere}: {err}") from None
-    kwargs = _take_fields(obj, where, SceneConfig)
-    radar_obj = _take(obj, where, "radar", {})
-    camera_obj = _take(obj, where, "camera", {})
-    _reject_extras(obj, where)
-    try:
-        scene = SceneConfig(tuple(scatterers), **kwargs)
-    except (TypeError, ValueError) as err:
-        raise FormatError(f"{where}: {err}") from None
-    radar = radar_config_from_dict(radar_obj, f"{where}: radar")
-    camera = camera_from_dict(camera_obj, f"{where}: camera")
+    scatterers = tuple(_settings(Scatterer, entry, f"{where}: scatterers[{i}]")
+                       for i, entry in enumerate(raw_scatterers))
+    radar, camera = _radar_and_camera(obj, where)
+    scene = _settings(SceneConfig, obj, where, {"scatterers": scatterers})
     return scene, radar, camera
 
 
@@ -304,8 +284,8 @@ def write_frame_sequence(
         "kind": "frames",
         "n_frames": len(bundles),
         "frame_interval": frame_interval,
-        "radar": radar_config_to_dict(radar),
-        "camera": camera_to_dict(camera),
+        "radar": _settings_dict(radar),
+        "camera": _settings_dict(camera),
     })
     for bundle in bundles:
         fdir = _frame_dir(base, bundle.frame_index)
@@ -384,8 +364,7 @@ def read_frame_sequence(
     manifest, where, frame_interval = _read_manifest(base, "frames")
     n_frames = _non_negative_int(_take(manifest, where, "n_frames", required=True),
                                  where, "n_frames")
-    radar = radar_config_from_dict(_take(manifest, where, "radar", {}), f"{where}: radar")
-    camera = camera_from_dict(_take(manifest, where, "camera", {}), f"{where}: camera")
+    radar, camera = _radar_and_camera(manifest, where)
     _reject_extras(manifest, where)
 
     bundles = []

@@ -51,12 +51,14 @@ class Scatterer:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if len(self.position) != 3 or len(self.velocity) != 3:
+        if np.shape(self.position) != (3,) or np.shape(self.velocity) != (3,):
             raise ValueError("position and velocity must be 3-vectors")
         if not (np.isfinite(self.position).all() and np.isfinite(self.velocity).all()):
             raise ValueError(f"non-finite position {self.position} or velocity {self.velocity}")
         if not (self.amplitude > 0 and np.isfinite(self.amplitude)):
             raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
+        object.__setattr__(self, "position", tuple(self.position))
+        object.__setattr__(self, "velocity", tuple(self.velocity))
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,10 @@ class ContextWindow:
 
     def __post_init__(self) -> None:
         for name in ("azimuth_extent", "elevation_extent", "range_extent"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            setattr(self, name, int(value))
 
 
 def collapse_doppler(cube: RadarCube, cfg: RadarConfig) -> VelocityCube:

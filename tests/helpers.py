@@ -38,7 +38,6 @@ def dft_cube_oracle(samples: np.ndarray, cfg: RadarConfig) -> np.ndarray:
     x = x * hanning_closed_form(cfg.n_chirps)[:, None, None, None]
     x = x * hanning_closed_form(cfg.n_samples)[None, :, None, None]
     x = np.tensordot(dft_matrix(cfg.n_samples), x, axes=([1], [1]))  # -> (range, chirp, az, el)
-    x = x[: cfg.n_range_bins]
     x = np.tensordot(dft_matrix(cfg.n_chirps), x, axes=([1], [1]))   # -> (doppler, range, az, el)
     x = center_shift(x, 0)
     x = np.tensordot(dft_matrix(cfg.n_azimuth_bins), x, axes=([1], [2]))  # -> (az, doppler, range, el)
@@ -474,9 +473,10 @@ def random_rotation(rng: np.random.Generator, max_angle: float = 0.3) -> np.ndar
 
 
 # Scene-file values of the wrong JSON type, as (block, key, value): block is
-# None for a top-level key, else "radar" or "camera". Integer fields take no
-# float (not even 16.0) and no bool, float fields only finite numbers, and
-# one_sided_range only a bool.
+# None for a top-level key, "radar", "camera" or "scatterers[0]". Integer
+# fields take no float (not even 16.0) and no bool, float fields only finite
+# numbers, and vector and matrix fields only numbers or rectangular nested
+# lists of numbers (no bool).
 BAD_SCENE_FIELDS = [
     (None, "noise_floor", True),
     (None, "frame_interval", "0.1"),
@@ -491,13 +491,21 @@ BAD_SCENE_FIELDS = [
     ("radar", "n_chirps", 16.0),
     ("camera", "width", 160.5),
     ("camera", "height", False),
-    ("radar", "one_sided_range", "yes"),
-    ("radar", "one_sided_range", 1),
+    ("camera", "translation", [True, 0, 0]),
+    ("camera", "rotation", [[0, -1, 0], [0, 0, -1], [True, 0, 0]]),
+    ("camera", "rotation", [[0, -1, 0], [0, 0, -1], [1, 0]]),
+    ("scatterers[0]", "amplitude", True),
+    ("scatterers[0]", "velocity", [0.3, False, 0]),
+    ("scatterers[0]", "position", "1.8, 0.2, 0.0"),
 ]
 
 
 def set_scene_field(scene: dict, block: str | None, key: str, value) -> dict:
-    """The scene dict with one key set, at the top level or in a block."""
-    target = scene if block is None else scene.setdefault(block, {})
+    """The scene dict with one key set, at the top level, in a block or in
+    the first scatterer."""
+    if block == "scatterers[0]":
+        target = scene["scatterers"][0]
+    else:
+        target = scene if block is None else scene.setdefault(block, {})
     target[key] = value
     return scene

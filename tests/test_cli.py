@@ -108,6 +108,47 @@ def test_process_rejects_a_bad_cond_bound(pipeline_dirs, tmp_path, capsys, cond_
     assert not (tmp_path / "vel").exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--cond-bound=nan", "cond_bound must be >= 1, got nan"),
+    ("--window-az=0", "azimuth_extent must be an integer >= 1, got 0"),
+])
+def test_process_rejects_bad_flags_before_reading_frames(pipeline_dirs, tmp_path, capsys,
+                                                         flag, message):
+    frames, _, _ = pipeline_dirs
+    edited = tmp_path / "frames"
+    shutil.copytree(frames, edited)
+    for f in range(3):
+        (edited / f"frame_{f:06d}" / "adc.crlv").write_bytes(b"not a tensor")
+    capsys.readouterr()
+    code = main(["process", "--in", str(edited), "--out", str(tmp_path / "vel"), flag])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "frame_" not in err
+    assert not (tmp_path / "vel").exists()
+
+
+@pytest.mark.parametrize("command", ["process", "evaluate"])
+def test_manifest_with_one_sided_range_fails_cleanly(pipeline_dirs, tmp_path, capsys, command):
+    """A sequence written while RadarConfig had one_sided_range is simulated again."""
+    frames, vel, _ = pipeline_dirs
+    edited = tmp_path / "frames"
+    shutil.copytree(frames, edited)
+    manifest = json.loads((edited / "manifest.json").read_text())
+    manifest["radar"]["one_sided_range"] = False
+    (edited / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    argv = {"process": ["process", "--in", str(edited), "--out", str(out)],
+            "evaluate": ["evaluate", "--est", str(vel), "--truth", str(edited),
+                         "--report", str(out)]}
+    capsys.readouterr()
+    assert main(argv[command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "manifest.json: radar: unknown keys ['one_sided_range']" in err
+    assert not out.exists()
+
+
 def test_process_prints_per_frame_timing(pipeline_dirs, capsys, tmp_path):
     frames, _, _ = pipeline_dirs
     main(["process", "--in", str(frames), "--out", str(tmp_path / "vel2")])

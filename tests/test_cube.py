@@ -37,7 +37,6 @@ def test_config_derived_quantities():
     assert cfg.max_speed == pytest.approx(2.8)
     assert np.degrees(cfg.azimuth_bin_width) == pytest.approx(2.0)
     assert np.degrees(cfg.elevation_bin_width) == pytest.approx(5.0)
-    assert RadarConfig(one_sided_range=True).n_range_bins == 64
 
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
@@ -92,20 +91,6 @@ def test_build_matches_direct_dft():
     assert np.allclose(cube.magnitudes, want, rtol=1e-4, atol=1e-4 * want.max())
 
 
-def test_build_matches_direct_dft_one_sided():
-    cfg = RadarConfig(
-        n_samples=16, n_chirps=8, n_azimuth_bins=8, n_elevation_bins=4,
-        one_sided_range=True,
-    )
-    rng = np.random.default_rng(8)
-    raw = rng.standard_normal((8, 16, 8, 4)) + 1j * rng.standard_normal((8, 16, 8, 4))
-    adc = AdcCube(raw.astype(np.complex64))
-    cube = build_radar_cube(adc, cfg)
-    want = dft_cube_oracle(adc.samples, cfg)
-    assert cube.magnitudes.shape == (8, 8, 4, 8)
-    assert np.allclose(cube.magnitudes, want, rtol=1e-4, atol=1e-4 * want.max())
-
-
 @pytest.fixture(scope="module")
 def demo_adc():
     scene, cfg, _ = load_scene(SCENES / "demo.json")
@@ -120,13 +105,12 @@ def test_build_matches_direct_dft_on_the_demo_radar(demo_adc):
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(*[st.integers(2, 9)] * 4),
-       one_sided=st.booleans())
-def test_build_matches_direct_dft_on_small_shapes(seed, shape, one_sided):
+@given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(*[st.integers(2, 9)] * 4))
+def test_build_matches_direct_dft_on_small_shapes(seed, shape):
     """Odd lengths check that each matrix's row order is np.fft.fftshift."""
     n_chirps, n_samples, n_az, n_el = shape
     cfg = RadarConfig(n_samples=n_samples, n_chirps=n_chirps, n_azimuth_bins=n_az,
-                      n_elevation_bins=n_el, one_sided_range=one_sided)
+                      n_elevation_bins=n_el)
     for n in shape:
         assert np.array_equal(center_shift(np.arange(n), 0), np.fft.fftshift(np.arange(n)))
     rng = np.random.default_rng(seed)
@@ -134,7 +118,7 @@ def test_build_matches_direct_dft_on_small_shapes(seed, shape, one_sided):
     adc = AdcCube(raw.astype(np.complex64))
     want = dft_cube_oracle(adc.samples, cfg)
     got = build_radar_cube(adc, cfg).magnitudes
-    assert got.shape == (cfg.n_range_bins, n_az, n_el, n_chirps)
+    assert got.shape == (n_samples, n_az, n_el, n_chirps)
     assert np.abs(got - want).max() <= 1e-6 * want.max()
 
 

@@ -1,12 +1,16 @@
 import io as std_io
 import json
+import re
 import struct
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from velofusion.cube import RadarConfig
 from velofusion.io import (
+    _FIELD_CHECKS,
     FORMAT_VERSION,
     MAGIC,
     FormatError,
@@ -20,11 +24,15 @@ from velofusion.io import (
     write_report,
     write_tensor,
     write_velocity_sequence,
+    _settings_dict,
 )
 from velofusion.metrics import MetricsReport
 from velofusion.sim import Scatterer, SceneConfig, ground_truth_velocities, synth_flow, synth_lidar, simulate_adc
+from velofusion.types import CameraModel
 
 from helpers import BAD_SCENE_FIELDS, set_scene_field
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 _HEADER = struct.Struct("<4sIII6Q")
 
@@ -227,8 +235,50 @@ def test_load_scene_rejects_wrong_field_types(block, key, value, tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(set_scene_field(_demo_scene_dict(), block, key, value)))
     where = "scene.json" if block is None else f"scene.json: {block}"
-    with pytest.raises(FormatError, match=f"{where}: '{key}' must be"):
+    with pytest.raises(FormatError, match=re.escape(f"{where}: '{key}' must be")):
         load_scene(path)
+
+
+def test_load_scene_requires_scatterer_positions(tmp_path):
+    obj = _demo_scene_dict()
+    del obj["scatterers"][1]["position"]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match=re.escape("scatterers[1]: missing required key "
+                                                    "'position'")):
+        load_scene(path)
+
+
+def test_load_scene_omitted_velocity_is_static(tmp_path):
+    obj = _demo_scene_dict()
+    del obj["scatterers"][0]["velocity"]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(obj))
+    scene, _, _ = load_scene(path)
+    assert scene.scatterers[0] == Scatterer(position=(2.0, 0.0, 0.0))
+    assert scene.scatterers[0].velocity == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("name", ["demo.json", "tiny.json"])
+def test_settings_writer_round_trips_through_load_scene(name, tmp_path):
+    scene, radar, camera = load_scene(SCENES / name)
+    obj = {**_settings_dict(scene), "radar": _settings_dict(radar),
+           "camera": _settings_dict(camera)}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(obj))
+    scene2, radar2, camera2 = load_scene(path)
+    assert scene2 == scene
+    assert radar2 == radar
+    assert _settings_dict(camera2) == _settings_dict(camera)
+
+
+def test_every_settings_field_has_a_json_check():
+    """A field whose annotation has no JSON check would reach its dataclass
+    unchecked, as a bool once reached a float vector."""
+    unchecked = [(cls.__name__, f.name)
+                 for cls in (RadarConfig, CameraModel, SceneConfig, Scatterer)
+                 for f in fields(cls) if f.type not in _FIELD_CHECKS]
+    assert unchecked == [("SceneConfig", "scatterers")]  # load_scene reads it separately
 
 
 def _tiny_bundles():
@@ -397,8 +447,8 @@ def test_frame_manifest_rejects_non_object_blocks(key, tmp_path):
 
 @pytest.mark.parametrize("block, key, value", [
     ("radar", "n_elevation_bins", 4.0),
-    ("radar", "one_sided_range", 0),
     ("camera", "height", 480.5),
+    ("camera", "translation", [0, True, 0]),
 ])
 def test_frame_manifest_rejects_wrong_field_types(block, key, value, tmp_path):
     read, _ = _write_sequence("frames", tmp_path / "seq")
@@ -406,6 +456,16 @@ def test_frame_manifest_rejects_wrong_field_types(block, key, value, tmp_path):
     manifest[block][key] = value
     (tmp_path / "seq" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match=f"manifest.json: {block}: '{key}' must be"):
+        read(tmp_path / "seq")
+
+
+def test_frame_manifest_rejects_one_sided_range(tmp_path):
+    read, _ = _write_sequence("frames", tmp_path / "seq")
+    manifest = json.loads((tmp_path / "seq" / "manifest.json").read_text())
+    assert len(manifest["radar"]) == 9
+    manifest["radar"]["one_sided_range"] = False
+    (tmp_path / "seq" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=re.escape("radar: unknown keys ['one_sided_range']")):
         read(tmp_path / "seq")
 
 

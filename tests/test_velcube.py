@@ -306,6 +306,29 @@ def test_window_extent_validation():
         ContextWindow(range_extent=-1)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(azimuth_extent=2.5), "azimuth_extent"),
+    (dict(azimuth_extent=True), "azimuth_extent"),
+    (dict(elevation_extent=3.0), "elevation_extent"),
+    (dict(range_extent="4"), "range_extent"),
+    (dict(range_extent=np.float64(4.0)), "range_extent"),
+    (dict(elevation_extent=np.int64(0)), "elevation_extent"),
+])
+def test_window_extents_must_be_integers(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        ContextWindow(**kwargs)
+
+
+def test_window_accepts_numpy_integers():
+    window = ContextWindow(np.int64(3), np.int32(2), np.uint8(5))
+    assert window == ContextWindow(3, 2, 5)
+    assert all(type(extent) is int for extent in vars(window).values())
+    vc = _random_cube(np.random.default_rng(5), SMALL, 0.3)
+    got, want = window_table(vc, window), window_table(vc, ContextWindow(3, 2, 5))
+    assert np.array_equal(got.velocity, want.velocity)
+    assert np.array_equal(got.valid, want.valid)
+
+
 def test_window_coverage_defaults():
     cfg = RadarConfig()
     az, el, rng_m = window_coverage(cfg, ContextWindow())
