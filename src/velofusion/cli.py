@@ -37,19 +37,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scene, radar, camera = load_scene(args.scene)
     if args.seed is not None:
         scene = replace(scene, seed=args.seed)
-    bundles = []
-    for f in range(scene.n_frames):
-        lidar = synth_lidar(scene, f)
-        bundles.append(FrameBundle(
-            frame_index=f,
-            timestamp=f * scene.frame_interval,
-            adc=simulate_adc(scene, f, radar),
-            lidar=lidar,
-            flow=synth_flow(scene, f - 1, camera) if f >= 1 else None,
-            ground_truth=ground_truth_velocities(scene, lidar),
-        ))
-    write_frame_sequence(args.out, bundles, radar, camera, scene.frame_interval)
-    print(f"simulate: wrote {len(bundles)} frames to {args.out}")
+
+    def bundles():
+        for f in range(scene.n_frames):
+            lidar = synth_lidar(scene, f)
+            yield FrameBundle(
+                frame_index=f,
+                timestamp=f * scene.frame_interval,
+                adc=simulate_adc(scene, f, radar),
+                lidar=lidar,
+                flow=synth_flow(scene, f - 1, camera) if f >= 1 else None,
+                ground_truth=ground_truth_velocities(scene, lidar),
+            )
+    n_frames = write_frame_sequence(args.out, bundles(), radar, camera, scene.frame_interval)
+    print(f"simulate: wrote {n_frames} frames to {args.out}")
     return 0
 
 
@@ -57,9 +58,9 @@ def cmd_process(args: argparse.Namespace) -> int:
     # The flags are checked before any frame is read.
     window = ContextWindow(args.window_az, args.window_el, args.window_range)
     check_cond_bound(args.cond_bound)
-    bundles, radar, camera, frame_interval = read_frame_sequence(args.in_dir)
+    frames, radar, camera, frame_interval = read_frame_sequence(args.in_dir)
     clouds = {}
-    for bundle in bundles:
+    for bundle in frames:
         if bundle.adc is None or bundle.lidar is None or bundle.flow is None:
             continue
         start = time.perf_counter()

@@ -21,7 +21,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Collection
+from typing import BinaryIO, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -272,22 +272,20 @@ def _frame_dir(base: Path, frame_index: int) -> Path:
 
 def write_frame_sequence(
     directory: str | Path,
-    bundles: list[FrameBundle],
+    bundles: Iterable[FrameBundle],
     radar: RadarConfig,
     camera: CameraModel,
     frame_interval: float,
-) -> None:
+) -> int:
+    """Write frame k as the k-th bundle arrives and manifest.json last, so a
+    write that fails partway leaves none. Returns the number of frames written."""
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
-    _write_json(base / "manifest.json", {
-        "format_version": FORMAT_VERSION,
-        "kind": "frames",
-        "n_frames": len(bundles),
-        "frame_interval": frame_interval,
-        "radar": _settings_dict(radar),
-        "camera": _settings_dict(camera),
-    })
+    (base / "manifest.json").unlink(missing_ok=True)
+    n_frames = 0
     for bundle in bundles:
+        if bundle.frame_index != n_frames:
+            raise ValueError(f"bundle {n_frames} has frame_index {bundle.frame_index}")
         fdir = _frame_dir(base, bundle.frame_index)
         fdir.mkdir(parents=True, exist_ok=True)
         meta = {"frame_index": bundle.frame_index, "timestamp": bundle.timestamp}
@@ -304,6 +302,16 @@ def write_frame_sequence(
         if bundle.ground_truth is not None:
             write_tensor(fdir / "gt_velocities.crlv", bundle.ground_truth.velocities)
         _write_json(fdir / "meta.json", meta)
+        n_frames += 1
+    _write_json(base / "manifest.json", {
+        "format_version": FORMAT_VERSION,
+        "kind": "frames",
+        "n_frames": n_frames,
+        "frame_interval": frame_interval,
+        "radar": _settings_dict(radar),
+        "camera": _settings_dict(camera),
+    })
+    return n_frames
 
 
 def _read_manifest(base: Path, kind: str) -> tuple[dict, str, float]:
@@ -351,10 +359,11 @@ FRAME_COMPONENTS = ("adc", "lidar", "flow", "ground_truth")
 def read_frame_sequence(
     directory: str | Path,
     components: Collection[str] = FRAME_COMPONENTS,
-) -> tuple[list[FrameBundle], RadarConfig, CameraModel, float]:
-    """Read a frame sequence, decoding only the named FrameBundle components;
-    the others stay None and their tensors are not read. The manifest and
-    every frame's meta.json are checked either way."""
+) -> tuple[Iterator[FrameBundle], RadarConfig, CameraModel, float]:
+    """Check the component names and the manifest now. The frames iterator
+    reads and checks each frame's meta.json when the loop reaches the frame
+    and decodes only the named FrameBundle components; the others stay None
+    and their tensors are not read."""
     unknown = set(components) - set(FRAME_COMPONENTS)
     if unknown:
         raise ValueError(f"unknown frame components {sorted(unknown)}")
@@ -367,33 +376,33 @@ def read_frame_sequence(
     radar, camera = _radar_and_camera(manifest, where)
     _reject_extras(manifest, where)
 
-    bundles = []
-    for idx in range(n_frames):
-        with _frame_reader(base, idx) as (fdir, timestamp, meta, mwhere):
-            flow_dt = _take(meta, mwhere, "flow_dt")
-            _reject_extras(meta, mwhere)
-            bundle = FrameBundle(frame_index=idx, timestamp=timestamp)
-            if "adc" in components and (fdir / "adc.crlv").exists():
-                bundle.adc = AdcCube(read_tensor(fdir / "adc.crlv"))
-            if "lidar" in components and (fdir / "lidar_positions.crlv").exists():
-                labels = None
-                if (fdir / "lidar_labels.crlv").exists():
-                    labels = read_tensor(fdir / "lidar_labels.crlv")
-                bundle.lidar = PointCloud(read_tensor(fdir / "lidar_positions.crlv"), labels)
-            if (fdir / "flow.crlv").exists():
-                flow_dt = _number(flow_dt, mwhere, "flow_dt")
-                if "flow" in components:
-                    covered = read_tensor(fdir / "flow_covered.crlv").astype(bool)
-                    bundle.flow = FlowField(read_tensor(fdir / "flow.crlv"), covered, flow_dt)
-            if "ground_truth" in components and (fdir / "gt_velocities.crlv").exists():
-                if bundle.lidar is None:
-                    raise FormatError(f"{fdir}: ground truth without lidar positions")
-                vel = read_tensor(fdir / "gt_velocities.crlv")
-                status = np.full(len(vel), PointStatus.OK, dtype=np.uint8)
-                bundle.ground_truth = VelocityPointCloud(
-                    bundle.lidar.positions.copy(), vel, status)
-        bundles.append(bundle)
-    return bundles, radar, camera, frame_interval
+    def frames():
+        for idx in range(n_frames):
+            with _frame_reader(base, idx) as (fdir, timestamp, meta, mwhere):
+                flow_dt = _take(meta, mwhere, "flow_dt")
+                _reject_extras(meta, mwhere)
+                bundle = FrameBundle(frame_index=idx, timestamp=timestamp)
+                if "adc" in components and (fdir / "adc.crlv").exists():
+                    bundle.adc = AdcCube(read_tensor(fdir / "adc.crlv"))
+                if "lidar" in components and (fdir / "lidar_positions.crlv").exists():
+                    labels = None
+                    if (fdir / "lidar_labels.crlv").exists():
+                        labels = read_tensor(fdir / "lidar_labels.crlv")
+                    bundle.lidar = PointCloud(read_tensor(fdir / "lidar_positions.crlv"), labels)
+                if (fdir / "flow.crlv").exists():
+                    flow_dt = _number(flow_dt, mwhere, "flow_dt")
+                    if "flow" in components:
+                        covered = read_tensor(fdir / "flow_covered.crlv").astype(bool)
+                        bundle.flow = FlowField(read_tensor(fdir / "flow.crlv"), covered, flow_dt)
+                if "ground_truth" in components and (fdir / "gt_velocities.crlv").exists():
+                    if bundle.lidar is None:
+                        raise FormatError(f"{fdir}: ground truth without lidar positions")
+                    vel = read_tensor(fdir / "gt_velocities.crlv")
+                    status = np.full(len(vel), PointStatus.OK, dtype=np.uint8)
+                    bundle.ground_truth = VelocityPointCloud(
+                        bundle.lidar.positions.copy(), vel, status)
+            yield bundle
+    return frames(), radar, camera, frame_interval
 
 
 def write_velocity_sequence(

@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,9 +67,9 @@ def test_process_applies_the_manifest_threshold(pipeline_dirs, tmp_path, thresho
     assert main(["process", "--in", str(edited), "--out", str(tmp_path / "vel")]) == 0
     got, _ = read_velocity_sequence(tmp_path / "vel")
     at_default, _ = read_velocity_sequence(vel)
-    bundles, radar, camera, _ = read_frame_sequence(edited)
+    frames_in, radar, camera, _ = read_frame_sequence(edited)
     assert radar.threshold_db == threshold_db
-    for bundle in bundles[1:]:
+    for bundle in list(frames_in)[1:]:
         cube = threshold_cube(build_radar_cube(bundle.adc, radar), threshold_db)
         want = estimate_frame(bundle.lidar, collapse_doppler(cube, radar), bundle.flow, camera,
                               FramePair(dt=bundle.flow.dt), ContextWindow())
@@ -85,8 +86,8 @@ def test_process_applies_window_and_cond_bound_flags(pipeline_dirs, tmp_path):
                  "--cond-bound", "5"]) == 0
     got, _ = read_velocity_sequence(tmp_path / "vel")
     at_default, _ = read_velocity_sequence(vel)
-    bundles, radar, camera, _ = read_frame_sequence(frames)
-    for bundle in bundles[1:]:
+    frames_in, radar, camera, _ = read_frame_sequence(frames)
+    for bundle in list(frames_in)[1:]:
         vc = collapse_doppler(build_radar_cube(bundle.adc, radar), radar)
         want = estimate_frame(bundle.lidar, vc, bundle.flow, camera,
                               FramePair(dt=bundle.flow.dt), ContextWindow(1, 1, 1), 5.0)
@@ -414,3 +415,51 @@ def test_simulate_seed_override_changes_data(tmp_path):
     ta = read_tensor(a / "frame_000000" / "lidar_positions.crlv")
     tb = read_tensor(b / "frame_000000" / "lidar_positions.crlv")
     assert not np.array_equal(ta, tb)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["empty-out", "over-a-sequence"])
+def test_failed_simulate_leaves_no_manifest(pipeline_dirs, tmp_path, capsys, existing):
+    """A scatterer that leaves the radar's field of view at frame 2 fails the
+    run after frames 0 and 1 are written; no manifest marks the directory as
+    a sequence, also where an older sequence's manifest was."""
+    out = tmp_path / "frames"
+    if existing:
+        shutil.copytree(pipeline_dirs[0], out)
+    scene = json.loads((SCENES / "tiny.json").read_text())
+    scene["scatterers"][0].update(position=[2.0, 1.2, 0.0], velocity=[0.0, 0.3, 0.0])
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    capsys.readouterr()
+    assert main(["simulate", "--scene", str(tmp_path / "scene.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "outside the radar field of view" in err and "at frame 2" in err
+    assert not (out / "manifest.json").exists()
+
+
+def _peak_bytes(argv: list[str]) -> int:
+    """The tracemalloc peak of one CLI command."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_and_process_memory_does_not_grow_with_frames(tmp_path, capsys):
+    """Both commands hold one frame at a time, so eight times the frames
+    stays within 1.5x the peak."""
+    peaks = {}
+    for n_frames in (3, 24):
+        base = tmp_path / str(n_frames)
+        base.mkdir()
+        scene = json.loads((SCENES / "tiny.json").read_text())
+        scene["n_frames"] = n_frames
+        (base / "scene.json").write_text(json.dumps(scene))
+        peaks[n_frames] = (
+            _peak_bytes(["simulate", "--scene", str(base / "scene.json"),
+                         "--out", str(base / "frames")]),
+            _peak_bytes(["process", "--in", str(base / "frames"), "--out", str(base / "vel")]),
+        )
+    for command, small, large in zip(("simulate", "process"), peaks[3], peaks[24]):
+        assert large <= 1.5 * small, f"{command}: {small} B at 3 frames, {large} B at 24"

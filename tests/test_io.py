@@ -309,7 +309,8 @@ def _tiny_bundles():
 def test_frame_sequence_round_trip(tmp_path):
     bundles, cfg, camera, scene = _tiny_bundles()
     write_frame_sequence(tmp_path / "seq", bundles, cfg, camera, scene.frame_interval)
-    got, radar2, camera2, interval = read_frame_sequence(tmp_path / "seq")
+    frames, radar2, camera2, interval = read_frame_sequence(tmp_path / "seq")
+    got = list(frames)
     assert radar2 == cfg
     assert camera2.fx == camera.fx
     assert np.array_equal(camera2.rotation, camera.rotation)
@@ -330,6 +331,36 @@ def test_frame_sequence_round_trip(tmp_path):
             assert back.flow.dt == orig.flow.dt
 
 
+def test_frame_sequence_streams_frames_and_writes_the_manifest_last(tmp_path):
+    bundles, cfg, camera, scene = _tiny_bundles()
+    base = tmp_path / "seq"
+
+    def arriving():
+        for k, bundle in enumerate(bundles):
+            assert sorted(p.name for p in base.iterdir()) == [f"frame_{i:06d}" for i in range(k)]
+            yield bundle
+
+    assert write_frame_sequence(base, arriving(), cfg, camera, scene.frame_interval) == 2
+    assert json.loads((base / "manifest.json").read_text())["n_frames"] == 2
+    # the reader checks the manifest; a frame is read when the loop reaches it
+    victim = base / "frame_000001" / "adc.crlv"
+    victim.write_bytes(victim.read_bytes()[:100])
+    frames, _, _, _ = read_frame_sequence(base)
+    assert next(frames).frame_index == 0
+    with pytest.raises(FormatError, match="frame_000001/adc.crlv"):
+        next(frames)
+
+
+@pytest.mark.parametrize("indices", [[5], [0, 2], [0, 0]])
+def test_frame_sequence_rejects_misnumbered_bundles(indices, tmp_path):
+    k = len(indices) - 1
+    with pytest.raises(ValueError, match=f"bundle {k} has frame_index {indices[k]}"):
+        write_frame_sequence(tmp_path / "seq", [FrameBundle(i, 0.1 * i) for i in indices],
+                             RadarConfig(), default_camera(), 0.1)
+    written = sorted(p.name for p in (tmp_path / "seq").iterdir())
+    assert written == [f"frame_{i:06d}" for i in range(k)]
+
+
 @pytest.mark.parametrize("components", [(), ("lidar",), ("lidar", "ground_truth"),
                                         ("adc", "flow")])
 def test_frame_sequence_decodes_only_the_named_components(components, tmp_path):
@@ -341,7 +372,8 @@ def test_frame_sequence_decodes_only_the_named_components(components, tmp_path):
         if name not in components and (name != "lidar" or "ground_truth" not in components):
             victim = tmp_path / "seq" / "frame_000001" / tensor
             victim.write_bytes(victim.read_bytes()[:100])
-    got, radar, _, _ = read_frame_sequence(tmp_path / "seq", components)
+    frames, radar, _, _ = read_frame_sequence(tmp_path / "seq", components)
+    got = list(frames)
     assert radar == cfg
     for orig, back in zip(bundles, got):
         for name in skipped:
@@ -355,7 +387,7 @@ def test_frame_sequence_decodes_only_the_named_components(components, tmp_path):
     # the frame's meta is checked whether or not its flow is decoded
     _edit_json(tmp_path / "seq" / "frame_000001" / "meta.json", flow_dt="0.1")
     with pytest.raises(FormatError, match="meta.json: 'flow_dt' must be"):
-        read_frame_sequence(tmp_path / "seq", components)
+        list(read_frame_sequence(tmp_path / "seq", components)[0])
 
 
 @pytest.mark.parametrize("components, message", [
@@ -372,8 +404,8 @@ def test_frame_sequence_rejects_bad_components(components, message, tmp_path):
 
 def test_empty_frame_sequence(tmp_path):
     write_frame_sequence(tmp_path / "seq", [], RadarConfig(), default_camera(), 0.1)
-    got, _, _, _ = read_frame_sequence(tmp_path / "seq")
-    assert got == []
+    frames, _, _, _ = read_frame_sequence(tmp_path / "seq")
+    assert list(frames) == []
 
 
 def _write_sequence(kind, base):
@@ -386,6 +418,14 @@ def _write_sequence(kind, base):
     clouds = {b.frame_index: (b.timestamp, b.ground_truth) for b in bundles}
     write_velocity_sequence(base, clouds, scene.frame_interval)
     return read_velocity_sequence, "velocities.crlv"
+
+
+def _read_whole(read, directory):
+    """Read a sequence to its last frame: a frame sequence's frames are read
+    as its iterator is consumed."""
+    result = read(directory)
+    if read is read_frame_sequence:
+        list(result[0])
 
 
 def _edit_json(path, **changes):
@@ -415,7 +455,7 @@ def test_sequence_detects_corrupt_tensor(kind, tmp_path):
     victim = tmp_path / "seq" / "frame_000001" / name
     victim.write_bytes(victim.read_bytes()[:100])
     with pytest.raises(FormatError, match=name):
-        read(tmp_path / "seq")
+        _read_whole(read, tmp_path / "seq")
 
 
 @pytest.mark.parametrize("kind, key, value", [
@@ -478,7 +518,7 @@ def test_frame_sequence_rejects_non_finite_flow(bad, tmp_path):
     flow[row, col, 1] = bad
     write_tensor(fdir / "flow.crlv", flow)
     with pytest.raises(FormatError, match="frame_000001: covered pixels must carry finite flow"):
-        read(tmp_path / "seq")
+        _read_whole(read, tmp_path / "seq")
 
 
 @pytest.mark.parametrize("kind, key, value", [
@@ -492,14 +532,14 @@ def test_sequence_meta_rejects_bad_types(kind, key, value, tmp_path):
     read, _ = _write_sequence(kind, tmp_path / "seq")
     _edit_json(tmp_path / "seq" / "frame_000001" / "meta.json", **{key: value})
     with pytest.raises(FormatError, match=f"meta.json: '{key}' must be"):
-        read(tmp_path / "seq")
+        _read_whole(read, tmp_path / "seq")
 
 
 def test_frame_sequence_rejects_non_positive_flow_dt(tmp_path):
     read, _ = _write_sequence("frames", tmp_path / "seq")
     _edit_json(tmp_path / "seq" / "frame_000001" / "meta.json", flow_dt=-0.1)
     with pytest.raises(FormatError, match="frame_000001: dt must be positive"):
-        read(tmp_path / "seq")
+        _read_whole(read, tmp_path / "seq")
 
 
 def test_velocity_sequence_round_trip(tmp_path):
