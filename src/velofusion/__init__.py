@@ -32,7 +32,6 @@ from .io import (
     write_frame_sequence,
     write_report,
     write_tensor,
-    write_velocity_sequence,
 )
 from .metrics import (
     EvalFrame,

@@ -19,7 +19,6 @@ from .io import (
     read_velocity_sequence,
     write_frame_sequence,
     write_report,
-    write_velocity_sequence,
 )
 from .metrics import (
     EvalFrame,
@@ -55,31 +54,44 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_process(args: argparse.Namespace) -> int:
-    # The flags are checked before any frame is read.
+    # The flags and the output directory are checked before any frame is read.
     window = ContextWindow(args.window_az, args.window_el, args.window_range)
     check_cond_bound(args.cond_bound)
-    frames, radar, camera, frame_interval = read_frame_sequence(args.in_dir)
-    clouds = {}
-    for bundle in frames:
-        if bundle.adc is None or bundle.lidar is None or bundle.flow is None:
-            continue
-        start = time.perf_counter()
-        vc = collapse_doppler(build_radar_cube(bundle.adc, radar), radar)
-        est = estimate_frame(bundle.lidar, vc, bundle.flow, camera, FramePair(bundle.flow.dt),
-                             window, cond_bound=args.cond_bound)
-        clouds[bundle.frame_index] = (bundle.timestamp, est)
-        elapsed = time.perf_counter() - start
-        n_ok = int(np.sum(est.status == 0))
-        print(f"frame {bundle.frame_index}: {len(est)} points, {n_ok} ok, {elapsed:.3f} s")
-    if not clouds:
-        raise ValueError("no processable frames (a frame needs adc, lidar and flow)")
-    write_velocity_sequence(args.out, clouds, frame_interval)
-    print(f"process: wrote {len(clouds)} frames to {args.out}")
+    out = Path(args.out)
+    if out.exists() and Path(args.in_dir).exists() and out.samefile(args.in_dir):
+        # writing would delete the input's frames before they are read
+        raise ValueError(f"--out {args.out} is the --in directory; write the estimates "
+                         f"to another directory")
+    frames, radar, camera, frame_interval = read_frame_sequence(args.in_dir,
+                                                                ("adc", "lidar", "flow"))
+
+    def bundles():
+        n_estimated = 0
+        for bundle in frames:
+            estimate = None
+            if bundle.adc is not None and bundle.lidar is not None and bundle.flow is not None:
+                start = time.perf_counter()
+                vc = collapse_doppler(build_radar_cube(bundle.adc, radar), radar)
+                estimate = estimate_frame(bundle.lidar, vc, bundle.flow, camera,
+                                          FramePair(bundle.flow.dt), window,
+                                          cond_bound=args.cond_bound)
+                elapsed = time.perf_counter() - start
+                n_ok = int(np.sum(estimate.status == 0))
+                print(f"frame {bundle.frame_index}: {len(estimate)} points, {n_ok} ok, "
+                      f"{elapsed:.3f} s")
+                n_estimated += 1
+            yield FrameBundle(bundle.frame_index, bundle.timestamp, estimate=estimate)
+        if not n_estimated:
+            raise ValueError("no processable frames (a frame needs adc, lidar and flow)")
+    n_frames = write_frame_sequence(args.out, bundles(), radar, camera, frame_interval)
+    print(f"process: wrote {n_frames} frames to {args.out}")
     return 0
 
 
 def _load_eval_frames(est_dir: str, truth_dir: str) -> list[EvalFrame]:
     clouds, _ = read_velocity_sequence(est_dir)
+    if not clouds:
+        raise ValueError(f"{est_dir} holds no estimates (process writes them)")
     bundles, _, _, _ = read_frame_sequence(truth_dir, ("lidar", "ground_truth"))
     truth = {b.frame_index: b for b in bundles}
     missing = sorted(i for i in clouds if i not in truth)
@@ -221,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("process", help="estimate per-point velocities for a sequence")
     p.add_argument("--in", dest="in_dir", required=True, help="input frame sequence")
-    p.add_argument("--out", required=True, help="output velocity sequence directory")
+    p.add_argument("--out", required=True,
+                   help="output sequence directory for the estimates (not --in)")
     p.add_argument("--window-az", type=int, default=10, help="context window azimuth bins")
     p.add_argument("--window-el", type=int, default=10, help="context window elevation bins")
     p.add_argument("--window-range", type=int, default=20, help="context window range bins")
@@ -230,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_process)
 
     p = sub.add_parser("evaluate", help="object-wise metrics of estimates vs truth")
-    p.add_argument("--est", required=True, help="velocity sequence directory")
+    p.add_argument("--est", required=True, help="sequence directory that process wrote")
     p.add_argument("--truth", required=True, help="truth frame sequence directory")
     p.add_argument("--report", required=True, help="metrics report output (JSON)")
     p.add_argument("--eps", type=float, default=0.3, help="clustering radius, m")
@@ -238,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("plot-speeds", help="per-track speed curves as CSV and SVG")
-    p.add_argument("--est", required=True, help="velocity sequence directory")
+    p.add_argument("--est", required=True, help="sequence directory that process wrote")
     p.add_argument("--truth", required=True, help="truth frame sequence directory")
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-svg", required=True)

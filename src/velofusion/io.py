@@ -11,14 +11,18 @@ Tensor file layout (little-endian, 64-byte header, then the raw payload):
     64      ...   payload, C order; complex64 is interleaved (re, im) f32
 
 A frame sequence is a directory with a manifest.json and one frame_NNNNNN/
-subdirectory per frame holding the frame's tensors plus a meta.json.
+subdirectory per frame holding the frame's tensors plus a meta.json. `simulate`
+writes the sensor data and ground truth of each frame; `process` writes a
+sequence of the same kind whose frames hold only the estimate (positions,
+velocities, status), with frame 0, which has no flow, holding only its meta.
+Writing a sequence replaces whatever sequence the directory held.
 """
 from __future__ import annotations
 
 import json
 import math
+import shutil
 import struct
-from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Collection, Iterable, Iterator
@@ -264,6 +268,7 @@ class FrameBundle:
     lidar: PointCloud | None = None
     flow: FlowField | None = None
     ground_truth: VelocityPointCloud | None = None
+    estimate: VelocityPointCloud | None = None
 
 
 def _frame_dir(base: Path, frame_index: int) -> Path:
@@ -277,11 +282,16 @@ def write_frame_sequence(
     camera: CameraModel,
     frame_interval: float,
 ) -> int:
-    """Write frame k as the k-th bundle arrives and manifest.json last, so a
-    write that fails partway leaves none. Returns the number of frames written."""
+    """Replace the sequence in directory: delete its manifest.json and frame
+    directories, write frame k as the k-th bundle arrives and manifest.json
+    last, so a write that fails partway leaves none. Returns the number of
+    frames written."""
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
     (base / "manifest.json").unlink(missing_ok=True)
+    for old in base.glob("frame_*"):
+        if old.name[6:].isdigit() and old.is_dir():
+            shutil.rmtree(old)
     n_frames = 0
     for bundle in bundles:
         if bundle.frame_index != n_frames:
@@ -301,6 +311,10 @@ def write_frame_sequence(
             meta["flow_dt"] = bundle.flow.dt
         if bundle.ground_truth is not None:
             write_tensor(fdir / "gt_velocities.crlv", bundle.ground_truth.velocities)
+        if bundle.estimate is not None:
+            write_tensor(fdir / "positions.crlv", bundle.estimate.positions)
+            write_tensor(fdir / "velocities.crlv", bundle.estimate.velocities)
+            write_tensor(fdir / "status.crlv", bundle.estimate.status)
         _write_json(fdir / "meta.json", meta)
         n_frames += 1
     _write_json(base / "manifest.json", {
@@ -314,46 +328,7 @@ def write_frame_sequence(
     return n_frames
 
 
-def _read_manifest(base: Path, kind: str) -> tuple[dict, str, float]:
-    """A sequence's manifest with its kind, format version and frame interval
-    checked and taken out, its location, and the frame interval."""
-    where = str(base / "manifest.json")
-    manifest = _read_json(base / "manifest.json")
-    found = _take(manifest, where, "kind", required=True)
-    if found != kind:
-        raise FormatError(f"{where}: kind {found!r} is not {kind!r}")
-    version = _take(manifest, where, "format_version", required=True)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{where}: unsupported format version {version}")
-    frame_interval = _number(_take(manifest, where, "frame_interval", required=True),
-                             where, "frame_interval")
-    if not frame_interval > 0:
-        raise FormatError(f"{where}: 'frame_interval' must be positive, got {frame_interval}")
-    return manifest, where, frame_interval
-
-
-@contextmanager
-def _frame_reader(base: Path, idx: int):
-    """Read a frame's meta.json and check its frame_index and timestamp, then
-    yield (frame directory, timestamp, the rest of the meta, its location);
-    a ValueError raised while the caller reads the frame's tensors becomes a
-    FormatError naming the frame directory."""
-    fdir = _frame_dir(base, idx)
-    where = str(fdir / "meta.json")
-    meta = _read_json(fdir / "meta.json")
-    frame_index = _take(meta, where, "frame_index", required=True)
-    if frame_index != idx:
-        raise FormatError(f"{where}: frame_index {frame_index!r} != directory index {idx}")
-    timestamp = _number(_take(meta, where, "timestamp", required=True), where, "timestamp")
-    try:
-        yield fdir, timestamp, meta, where
-    except FormatError:
-        raise
-    except ValueError as err:
-        raise FormatError(f"{fdir}: {err}") from None
-
-
-FRAME_COMPONENTS = ("adc", "lidar", "flow", "ground_truth")
+FRAME_COMPONENTS = ("adc", "lidar", "flow", "ground_truth", "estimate")
 
 
 def read_frame_sequence(
@@ -363,91 +338,87 @@ def read_frame_sequence(
     """Check the component names and the manifest now. The frames iterator
     reads and checks each frame's meta.json when the loop reaches the frame
     and decodes only the named FrameBundle components; the others stay None
-    and their tensors are not read."""
+    and their tensors are not read. A damaged tensor is a FormatError naming
+    its frame directory."""
     unknown = set(components) - set(FRAME_COMPONENTS)
     if unknown:
         raise ValueError(f"unknown frame components {sorted(unknown)}")
     if "ground_truth" in components and "lidar" not in components:
         raise ValueError("ground_truth needs the lidar component")
     base = Path(directory)
-    manifest, where, frame_interval = _read_manifest(base, "frames")
+    where = str(base / "manifest.json")
+    manifest = _read_json(base / "manifest.json")
+    kind = _take(manifest, where, "kind", required=True)
+    if kind != "frames":
+        raise FormatError(f"{where}: kind {kind!r} is not 'frames'")
+    version = _take(manifest, where, "format_version", required=True)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{where}: unsupported format version {version}")
+    frame_interval = _number(_take(manifest, where, "frame_interval", required=True),
+                             where, "frame_interval")
+    if not frame_interval > 0:
+        raise FormatError(f"{where}: 'frame_interval' must be positive, got {frame_interval}")
     n_frames = _non_negative_int(_take(manifest, where, "n_frames", required=True),
                                  where, "n_frames")
     radar, camera = _radar_and_camera(manifest, where)
     _reject_extras(manifest, where)
 
+    def read_frame(idx: int) -> FrameBundle:
+        fdir = _frame_dir(base, idx)
+        mwhere = str(fdir / "meta.json")
+        meta = _read_json(fdir / "meta.json")
+        frame_index = _take(meta, mwhere, "frame_index", required=True)
+        if frame_index != idx:
+            raise FormatError(f"{mwhere}: frame_index {frame_index!r} != directory index {idx}")
+        timestamp = _number(_take(meta, mwhere, "timestamp", required=True),
+                            mwhere, "timestamp")
+        flow_dt = _take(meta, mwhere, "flow_dt")
+        _reject_extras(meta, mwhere)
+        bundle = FrameBundle(frame_index=idx, timestamp=timestamp)
+        if "adc" in components and (fdir / "adc.crlv").exists():
+            bundle.adc = AdcCube(read_tensor(fdir / "adc.crlv"))
+        if "lidar" in components and (fdir / "lidar_positions.crlv").exists():
+            labels = None
+            if (fdir / "lidar_labels.crlv").exists():
+                labels = read_tensor(fdir / "lidar_labels.crlv")
+            bundle.lidar = PointCloud(read_tensor(fdir / "lidar_positions.crlv"), labels)
+        if (fdir / "flow.crlv").exists():
+            flow_dt = _number(flow_dt, mwhere, "flow_dt")
+            if "flow" in components:
+                covered = read_tensor(fdir / "flow_covered.crlv").astype(bool)
+                bundle.flow = FlowField(read_tensor(fdir / "flow.crlv"), covered, flow_dt)
+        if "ground_truth" in components and (fdir / "gt_velocities.crlv").exists():
+            if bundle.lidar is None:
+                raise FormatError(f"{fdir}: ground truth without lidar positions")
+            vel = read_tensor(fdir / "gt_velocities.crlv")
+            status = np.full(len(vel), PointStatus.OK, dtype=np.uint8)
+            bundle.ground_truth = VelocityPointCloud(bundle.lidar.positions.copy(), vel, status)
+        if "estimate" in components and (fdir / "positions.crlv").exists():
+            bundle.estimate = VelocityPointCloud(read_tensor(fdir / "positions.crlv"),
+                                                 read_tensor(fdir / "velocities.crlv"),
+                                                 read_tensor(fdir / "status.crlv"))
+        return bundle
+
     def frames():
         for idx in range(n_frames):
-            with _frame_reader(base, idx) as (fdir, timestamp, meta, mwhere):
-                flow_dt = _take(meta, mwhere, "flow_dt")
-                _reject_extras(meta, mwhere)
-                bundle = FrameBundle(frame_index=idx, timestamp=timestamp)
-                if "adc" in components and (fdir / "adc.crlv").exists():
-                    bundle.adc = AdcCube(read_tensor(fdir / "adc.crlv"))
-                if "lidar" in components and (fdir / "lidar_positions.crlv").exists():
-                    labels = None
-                    if (fdir / "lidar_labels.crlv").exists():
-                        labels = read_tensor(fdir / "lidar_labels.crlv")
-                    bundle.lidar = PointCloud(read_tensor(fdir / "lidar_positions.crlv"), labels)
-                if (fdir / "flow.crlv").exists():
-                    flow_dt = _number(flow_dt, mwhere, "flow_dt")
-                    if "flow" in components:
-                        covered = read_tensor(fdir / "flow_covered.crlv").astype(bool)
-                        bundle.flow = FlowField(read_tensor(fdir / "flow.crlv"), covered, flow_dt)
-                if "ground_truth" in components and (fdir / "gt_velocities.crlv").exists():
-                    if bundle.lidar is None:
-                        raise FormatError(f"{fdir}: ground truth without lidar positions")
-                    vel = read_tensor(fdir / "gt_velocities.crlv")
-                    status = np.full(len(vel), PointStatus.OK, dtype=np.uint8)
-                    bundle.ground_truth = VelocityPointCloud(
-                        bundle.lidar.positions.copy(), vel, status)
+            try:
+                bundle = read_frame(idx)
+            except FormatError:
+                raise
+            except ValueError as err:
+                raise FormatError(f"{_frame_dir(base, idx)}: {err}") from None
             yield bundle
     return frames(), radar, camera, frame_interval
-
-
-def write_velocity_sequence(
-    directory: str | Path,
-    clouds: dict[int, tuple[float, VelocityPointCloud]],
-    frame_interval: float,
-) -> None:
-    """Write estimated velocity clouds keyed by frame index."""
-    base = Path(directory)
-    base.mkdir(parents=True, exist_ok=True)
-    _write_json(base / "manifest.json", {
-        "format_version": FORMAT_VERSION,
-        "kind": "velocities",
-        "frame_indices": sorted(clouds),
-        "frame_interval": frame_interval,
-    })
-    for idx in sorted(clouds):
-        timestamp, cloud = clouds[idx]
-        fdir = _frame_dir(base, idx)
-        fdir.mkdir(parents=True, exist_ok=True)
-        _write_json(fdir / "meta.json", {"frame_index": idx, "timestamp": timestamp})
-        write_tensor(fdir / "positions.crlv", cloud.positions)
-        write_tensor(fdir / "velocities.crlv", cloud.velocities)
-        write_tensor(fdir / "status.crlv", cloud.status)
 
 
 def read_velocity_sequence(
     directory: str | Path,
 ) -> tuple[dict[int, tuple[float, VelocityPointCloud]], float]:
-    base = Path(directory)
-    manifest, where, frame_interval = _read_manifest(base, "velocities")
-    indices = _take(manifest, where, "frame_indices", required=True)
-    if not isinstance(indices, list):
-        raise FormatError(f"{where}: 'frame_indices' must be a list, got {indices!r}")
-    indices = [_non_negative_int(idx, where, "frame_indices") for idx in indices]
-    _reject_extras(manifest, where)
-    clouds: dict[int, tuple[float, VelocityPointCloud]] = {}
-    for idx in indices:
-        with _frame_reader(base, idx) as (fdir, timestamp, meta, mwhere):
-            _reject_extras(meta, mwhere)
-            clouds[idx] = (timestamp, VelocityPointCloud(
-                read_tensor(fdir / "positions.crlv"),
-                read_tensor(fdir / "velocities.crlv"),
-                read_tensor(fdir / "status.crlv"),
-            ))
+    """The estimates of a sequence that `process` wrote, as {frame index:
+    (timestamp, estimate)} over the frames that hold one, and the frame
+    interval."""
+    frames, _, _, frame_interval = read_frame_sequence(directory, ("estimate",))
+    clouds = {b.frame_index: (b.timestamp, b.estimate) for b in frames if b.estimate is not None}
     return clouds, frame_interval
 
 

@@ -305,7 +305,7 @@ def test_non_finite_adc_fails_cleanly(pipeline_dirs, tmp_path, capsys, bad):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "frame_000001: ADC samples must be finite" in err
-    assert not (tmp_path / "vel").exists()
+    assert not (tmp_path / "vel" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("value, message", [
@@ -335,7 +335,7 @@ def test_evaluate_writes_no_report_for_non_finite_values(pipeline_dirs, tmp_path
 
 @pytest.mark.parametrize("command, manifest, key, value", [
     ("process", "frames", "n_frames", "2"),
-    ("evaluate", "vel", "frame_indices", 5),
+    ("evaluate", "vel", "n_frames", -1),
 ])
 def test_bad_manifest_types_fail_cleanly(pipeline_dirs, tmp_path, capsys,
                                          command, manifest, key, value):
@@ -434,6 +434,105 @@ def test_failed_simulate_leaves_no_manifest(pipeline_dirs, tmp_path, capsys, exi
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "outside the radar field of view" in err and "at frame 2" in err
     assert not (out / "manifest.json").exists()
+
+
+def test_failed_process_over_a_sequence_leaves_no_manifest(pipeline_dirs, tmp_path, capsys):
+    """A process that fails at frame 2 leaves no manifest where an older
+    estimate sequence was."""
+    frames, vel, _ = pipeline_dirs
+    edited, out = tmp_path / "frames", tmp_path / "vel"
+    shutil.copytree(frames, edited)
+    shutil.copytree(vel, out)
+    (edited / "frame_000002" / "adc.crlv").write_bytes(b"not a tensor")
+    capsys.readouterr()
+    assert main(["process", "--in", str(edited), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "frame_000002" in err and "adc.crlv" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_process_without_flow_leaves_no_manifest(pipeline_dirs, tmp_path, capsys):
+    """A sequence without flow has no frame to process."""
+    frames = tmp_path / "frames"
+    shutil.copytree(pipeline_dirs[0], frames)
+    for victim in frames.glob("frame_*/flow*.crlv"):
+        victim.unlink()
+    capsys.readouterr()
+    assert main(["process", "--in", str(frames), "--out", str(tmp_path / "vel")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no processable frames" in err
+    assert not (tmp_path / "vel" / "manifest.json").exists()
+
+
+def _tree(directory: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_simulate_replaces_a_longer_sequence(tmp_path):
+    scene = json.loads((SCENES / "tiny.json").read_text())
+    scene["n_frames"] = 6
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    out = tmp_path / "frames"
+    assert main(["simulate", "--scene", str(tmp_path / "scene.json"), "--out", str(out)]) == 0
+    assert main(["simulate", "--scene", str(SCENES / "tiny.json"), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "frame_000000", "frame_000001", "frame_000002", "manifest.json"]
+
+
+def test_process_replaces_a_frame_sequence(pipeline_dirs, tmp_path):
+    """Estimates written over a simulate output leave none of its tensors,
+    and they evaluate as the estimates written into an empty directory do."""
+    frames, vel, report = pipeline_dirs
+    out = tmp_path / "vel"
+    shutil.copytree(frames, out)
+    assert main(["process", "--in", str(frames), "--out", str(out)]) == 0
+    assert _tree(out) == _tree(vel)
+    assert main(["evaluate", "--est", str(out), "--truth", str(frames),
+                 "--report", str(tmp_path / "report.json")]) == 0
+    assert (tmp_path / "report.json").read_bytes() == report.read_bytes()
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot-dot", "symlink"])
+def test_process_rejects_out_equal_to_in(pipeline_dirs, tmp_path, capsys, spelling):
+    frames, _, _ = pipeline_dirs
+    seq = tmp_path / "frames"
+    shutil.copytree(frames, seq)
+    before = _tree(seq)
+    out = {"same": seq, "dot-dot": tmp_path / "frames" / ".." / "frames",
+           "symlink": tmp_path / "link"}[spelling]
+    if spelling == "symlink":
+        out.symlink_to(seq, target_is_directory=True)
+    capsys.readouterr()
+    assert main(["process", "--in", str(seq), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "is the --in directory" in captured.err
+    assert captured.out == ""
+    assert _tree(seq) == before
+
+
+def test_process_decodes_no_ground_truth(pipeline_dirs, tmp_path):
+    frames, vel, _ = pipeline_dirs
+    edited = tmp_path / "frames"
+    shutil.copytree(frames, edited)
+    for victim in edited.glob("frame_*/gt_velocities.crlv"):
+        victim.write_bytes(b"not a tensor")
+    assert main(["process", "--in", str(edited), "--out", str(tmp_path / "vel")]) == 0
+    assert _tree(tmp_path / "vel") == _tree(vel)
+
+
+def test_evaluate_rejects_a_sequence_without_estimates(pipeline_dirs, tmp_path, capsys):
+    frames, _, _ = pipeline_dirs
+    capsys.readouterr()
+    assert main(["evaluate", "--est", str(frames), "--truth", str(frames),
+                 "--report", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "holds no estimates" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def _peak_bytes(argv: list[str]) -> int:

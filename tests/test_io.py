@@ -23,7 +23,6 @@ from velofusion.io import (
     write_frame_sequence,
     write_report,
     write_tensor,
-    write_velocity_sequence,
     _settings_dict,
 )
 from velofusion.metrics import MetricsReport
@@ -408,15 +407,25 @@ def test_empty_frame_sequence(tmp_path):
     assert list(frames) == []
 
 
-def _write_sequence(kind, base):
-    """A two-frame sequence of the given kind; returns its reader and the
-    name of one of its tensors."""
+def _estimate_bundles():
+    """The two frames as `process` writes them: frame 0 has no flow and so
+    no estimate; frame 1's estimate is its ground truth."""
     bundles, cfg, camera, scene = _tiny_bundles()
+    estimates = [FrameBundle(b.frame_index, b.timestamp,
+                             estimate=b.ground_truth if b.flow is not None else None)
+                 for b in bundles]
+    return estimates, cfg, camera, scene
+
+
+def _write_sequence(kind, base):
+    """A two-frame sequence of simulated frames ("frames") or of estimates
+    ("velocities"); returns its reader and the name of one of its tensors."""
     if kind == "frames":
+        bundles, cfg, camera, scene = _tiny_bundles()
         write_frame_sequence(base, bundles, cfg, camera, scene.frame_interval)
         return read_frame_sequence, "adc.crlv"
-    clouds = {b.frame_index: (b.timestamp, b.ground_truth) for b in bundles}
-    write_velocity_sequence(base, clouds, scene.frame_interval)
+    bundles, cfg, camera, scene = _estimate_bundles()
+    write_frame_sequence(base, bundles, cfg, camera, scene.frame_interval)
     return read_velocity_sequence, "velocities.crlv"
 
 
@@ -436,9 +445,19 @@ def _edit_json(path, **changes):
 
 @pytest.mark.parametrize("kind", ["frames", "velocities"])
 def test_sequence_rejects_wrong_kind(kind, tmp_path):
+    """A manifest of another kind is not read. In the velocities case it is
+    the manifest estimates had before they were a frame component, which
+    listed the estimated frames; such a directory is processed again."""
     read, _ = _write_sequence(kind, tmp_path / "seq")
-    _edit_json(tmp_path / "seq" / "manifest.json", kind="other")
-    with pytest.raises(FormatError, match=f"kind 'other' is not '{kind}'"):
+    manifest = tmp_path / "seq" / "manifest.json"
+    if kind == "frames":
+        found = "other"
+        _edit_json(manifest, kind=found)
+    else:
+        found = "velocities"
+        manifest.write_text(json.dumps({"format_version": FORMAT_VERSION, "kind": found,
+                                        "frame_indices": [1], "frame_interval": 0.1}))
+    with pytest.raises(FormatError, match=f"kind '{found}' is not 'frames'"):
         read(tmp_path / "seq")
 
 
@@ -463,9 +482,6 @@ def test_sequence_detects_corrupt_tensor(kind, tmp_path):
     ("frames", "n_frames", -1),
     ("frames", "n_frames", 1.0),
     ("frames", "n_frames", True),
-    ("velocities", "frame_indices", 5),
-    ("velocities", "frame_indices", [0, "1"]),
-    ("velocities", "frame_indices", [-1]),
     ("frames", "frame_interval", "0.1"),
     ("velocities", "frame_interval", 0),
     ("velocities", "frame_interval", float("nan")),
@@ -543,17 +559,19 @@ def test_frame_sequence_rejects_non_positive_flow_dt(tmp_path):
 
 
 def test_velocity_sequence_round_trip(tmp_path):
-    bundles, _, _, scene = _tiny_bundles()
-    clouds = {1: (0.1, bundles[1].ground_truth)}
-    write_velocity_sequence(tmp_path / "vel", clouds, scene.frame_interval)
+    bundles, cfg, camera, scene = _estimate_bundles()
+    write_frame_sequence(tmp_path / "vel", bundles, cfg, camera, scene.frame_interval)
+    assert sorted(p.name for p in (tmp_path / "vel" / "frame_000000").iterdir()) == ["meta.json"]
+    frames, _, _, _ = read_frame_sequence(tmp_path / "vel")
+    assert [b.estimate is not None for b in frames] == [False, True]
     got, interval = read_velocity_sequence(tmp_path / "vel")
     assert interval == scene.frame_interval
     assert set(got) == {1}
     timestamp, cloud = got[1]
-    assert timestamp == 0.1
-    assert np.array_equal(cloud.positions, bundles[1].ground_truth.positions)
-    assert np.array_equal(cloud.velocities, bundles[1].ground_truth.velocities)
-    assert np.array_equal(cloud.status, bundles[1].ground_truth.status)
+    assert timestamp == bundles[1].timestamp
+    assert np.array_equal(cloud.positions, bundles[1].estimate.positions)
+    assert np.array_equal(cloud.velocities, bundles[1].estimate.velocities)
+    assert np.array_equal(cloud.status, bundles[1].estimate.status)
 
 
 def test_write_report(tmp_path):
