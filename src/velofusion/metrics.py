@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .types import PointStatus
+from .types import PointStatus, positive_int
 
 logger = logging.getLogger(__name__)
 
@@ -20,6 +20,7 @@ ASSOCIATION_GATE = 0.5    # m, max centroid jump between consecutive frames
 # are not adjacent.
 _CELL_MARGIN = 1e-9
 _NEIGHBOR_OFFSETS = np.indices((3, 3, 3)).reshape(3, -1).T - 1  # (27, 3), each in {-1, 0, 1}
+_PAIR_CHUNK = 1 << 14     # point pairs per batch of undecided cell pairs
 
 
 def _grid_cells(pts: np.ndarray, cell: float) -> tuple[np.ndarray, list[int]]:
@@ -41,36 +42,94 @@ def _grid_cells(pts: np.ndarray, cell: float) -> tuple[np.ndarray, list[int]]:
     return (compact[:, 0] * dims[1] + compact[:, 1]) * dims[2] + compact[:, 2], dims
 
 
-def _neighbor_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every ordered pair (i, j) with distance <= eps, the point itself
-    included, and the pair's distance."""
+def _length(diffs) -> np.ndarray:
+    """Euclidean length from the x, y and z differences, the squares summed
+    in that order onto 0, as np.sum over the coordinate axis would."""
+    total = 0.0
+    for d in diffs:
+        total = total + d * d
+    return np.sqrt(total)
+
+
+def _adjacent_cells(cell_keys: np.ndarray, dims: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (a, b) of indices into the sorted occupied cell keys
+    whose keys differ by a neighbor offset's key, a == b included."""
+    offset_keys = (_NEIGHBOR_OFFSETS[:, 0] * dims[1] + _NEIGHBOR_OFFSETS[:, 1]) * dims[2] \
+        + _NEIGHBOR_OFFSETS[:, 2]
+    target = (cell_keys[:, None] + offset_keys).ravel()
+    slot = np.minimum(np.searchsorted(cell_keys, target), len(cell_keys) - 1)
+    hit = np.flatnonzero(cell_keys[slot] == target)
+    return hit // len(offset_keys), slot[hit]
+
+
+def _neighborhoods(
+    pts: np.ndarray, eps: float, min_points: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Neighbor counts within eps (the point itself included), edges that
+    join core points only, and the ordered pairs (i, j, distance) within eps
+    that were checked point by point.
+
+    Each pair of adjacent grid cells (A, B), A == B included, is decided by
+    its points' bounding boxes where it can be. Rounded subtraction, squaring,
+    addition and sqrt are monotone, so every point pair's distance lies
+    between the gap of the two boxes and the diagonal of their union, both
+    taken with the same formula as the point distance (`_length`). A pair
+    whose gap exceeds eps is skipped. A pair whose union diagonal is within
+    eps and that holds at least min_points points (|A| when A == B) makes
+    every one of them core, so it only adds |B| to each count of A and links
+    the two cells' first points; each point of such a cell is linked to its
+    cell's first point. All other pairs are checked point by point.
+    """
     span = float(np.ptp(pts, axis=0).max())
     keys, dims = _grid_cells(pts, eps * (1 + _CELL_MARGIN) + 16 * np.finfo(float).eps * span)
     order = np.argsort(keys, kind="stable")
-    cell_keys, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
-    offset_keys = (_NEIGHBOR_OFFSETS[:, 0] * dims[1] + _NEIGHBOR_OFFSETS[:, 1]) * dims[2] \
-        + _NEIGHBOR_OFFSETS[:, 2]
-    coords = [np.ascontiguousarray(c) for c in pts.T]
+    cell_keys, starts, sizes = np.unique(keys[order], return_index=True, return_counts=True)
+    coords = [np.ascontiguousarray(c) for c in pts[order].T]
+    lo = [np.minimum.reduceat(c, starts) for c in coords]
+    hi = [np.maximum.reduceat(c, starts) for c in coords]
+
+    a, b = _adjacent_cells(cell_keys, dims)
+    diagonal = _length(np.maximum(h[a], h[b]) - np.minimum(l[a], l[b]) for l, h in zip(lo, hi))
+    gap = _length(np.maximum(np.maximum(l[b] - h[a], l[a] - h[b]), 0.0) for l, h in zip(lo, hi))
+    held = np.where(a == b, sizes[a], sizes[a] + sizes[b])
+    dense = (diagonal <= eps) & (held >= min_points)
+    check = ~dense & (gap <= eps)
+
+    # Decided pairs: counts per cell, star edges inside each dense cell and
+    # one edge per pair between the cells' first points.
+    cell_of = np.repeat(np.arange(len(cell_keys)), sizes)
+    count = np.zeros(len(pts), dtype=np.int64)
+    count[order] = np.bincount(a[dense], weights=sizes[b[dense]],
+                               minlength=len(cell_keys)).astype(np.int64)[cell_of]
+    starred = np.flatnonzero(np.isin(cell_of, a[dense]))
+    link_i = np.concatenate([order[starred], order[starts[cell_of[starred]]],
+                             order[starts[a[dense]]]])
+    link_j = np.concatenate([order[starts[cell_of[starred]]], order[starred],
+                             order[starts[b[dense]]]])
+
+    # Undecided pairs, point by point in batches of about _PAIR_CHUNK pairs.
+    ca, cb = a[check], b[check]
+    n_pairs = sizes[ca] * sizes[cb]
+    total = np.cumsum(n_pairs)
+    cuts = np.unique(np.searchsorted(
+        total, np.arange(_PAIR_CHUNK, total[-1] if len(total) else 0, _PAIR_CHUNK),
+        side="right"))
     firsts, seconds, dists = [], [], []
-    for offset in offset_keys:
-        slot = np.minimum(np.searchsorted(cell_keys, keys + offset), len(cell_keys) - 1)
-        hit = np.flatnonzero(cell_keys[slot] == keys + offset)
-        n = counts[slot[hit]]
-        i = np.repeat(hit, n)
-        step = np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
-        j = order[np.repeat(starts[slot[hit]], n) + step]
-        # Squared differences summed in x, y, z order, as np.sum over the
-        # coordinate axis of pts[i] - pts[j] would.
-        dist2 = np.zeros(len(i))
-        for c in coords:
-            d = c[i] - c[j]
-            dist2 += d * d
-        dist = np.sqrt(dist2)
+    for begin, end in zip([0, *cuts], [*cuts, len(ca)]):
+        part = slice(begin, end)
+        n = n_pairs[part]
+        step = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        row, col = np.divmod(step, np.repeat(sizes[cb[part]], n))
+        i = np.repeat(starts[ca[part]], n) + row
+        j = np.repeat(starts[cb[part]], n) + col
+        dist = _length(c[i] - c[j] for c in coords)
         near = dist <= eps
-        firsts.append(i[near])
-        seconds.append(j[near])
+        firsts.append(order[i[near]])
+        seconds.append(order[j[near]])
         dists.append(dist[near])
-    return np.concatenate(firsts), np.concatenate(seconds), np.concatenate(dists)
+    i, j = np.concatenate(firsts), np.concatenate(seconds)
+    count += np.bincount(i, minlength=len(pts))
+    return count, link_i, link_j, i, j, np.concatenate(dists)
 
 
 def _min_label_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,28 +159,31 @@ def cluster_points(points: np.ndarray, eps: float, min_points: int) -> np.ndarra
     on a tie), everything else is noise (-1), as are points with a non-finite
     coordinate. Labels are numbered by first point appearance; apart from
     border points equidistant from two clusters' cores, membership does not
-    depend on point order. Neighbors come from a grid hash, so memory grows
-    with the number of neighbor pairs, not with N^2.
+    depend on point order. Neighbors come from a grid hash whose adjacent
+    cell pairs are decided by their points' bounding boxes where they can be
+    (`_neighborhoods`), so memory grows with the point pairs of the undecided
+    cell pairs, not with N^2.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if min_points < 1:
-        raise ValueError(f"min_points must be >= 1, got {min_points}")
+    min_points = positive_int("min_points", min_points)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
 
     finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
     if len(finite) == 0:
         return np.full(n, -1, dtype=np.int64)
-    i, j, dist = _neighbor_pairs(pts[finite], eps)
+    count, link_i, link_j, i, j, dist = _neighborhoods(pts[finite], eps, min_points)
+    core = np.zeros(n, dtype=bool)
+    core[finite] = count >= min_points
     if len(finite) < n:
-        i, j = finite[i], finite[j]
-    core = np.bincount(i, minlength=n) >= min_points
+        link_i, link_j, i, j = finite[link_i], finite[link_j], finite[i], finite[j]
     labels = np.full(n, -1, dtype=np.int64)
     both = core[i] & core[j]
-    root = _min_label_components(n, i[both], j[both])
+    root = _min_label_components(n, np.concatenate([link_i, i[both]]),
+                                 np.concatenate([link_j, j[both]]))
     labels[core] = root[core]
     # Border points: the nearest core neighbor, lowest index on a tie.
     border = ~core[i] & core[j]

@@ -152,9 +152,11 @@ def simulate_adc(scene: SceneConfig, frame_index: int, cfg: RadarConfig) -> AdcC
     The scatterers' separable ramps are summed as one complex128 matrix
     product, (chirp x sample, K) @ (K, az x el) with the amplitudes in the
     right factor. It runs in blocks of scatterers whose two factors take at
-    most a quarter of the accumulator's memory, and each block after the
-    first is added in slices of output rows, so no tensor-sized temporary
-    grows with the number of scatterers K.
+    most a quarter of the accumulator's memory. The first block is written
+    one chirp's rows per call, which keeps small scenes' products under
+    OpenBLAS's threading size (its worker thread spins on after every threaded
+    call). Each block after the first is added in slices of output rows, so
+    no tensor-sized temporary grows with the number of scatterers K.
     The complex Gaussian noise draws the real part first, then the
     imaginary part.
     """
@@ -180,7 +182,7 @@ def simulate_adc(scene: SceneConfig, frame_index: int, cfg: RadarConfig) -> AdcC
         right = ((amplitudes[part, None] * _phase_ramps(f_az[part], n_a))[:, :, None]
                  * _phase_ramps(f_el[part], n_e)[:, None, :]).reshape(-1, n_cols)
         if lo == 0:
-            np.matmul(left.T, right, out=acc)
+            np.matmul(left.T.reshape(n_c, n_s, -1), right, out=acc.reshape(n_c, n_s, n_cols))
             continue
         for r in range(0, n_rows, rows):
             acc[r:r + rows] += left[:, r:r + rows].T @ right

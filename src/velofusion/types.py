@@ -15,6 +15,14 @@ import numpy as np
 _ORTHO_TOL = 1e-9
 
 
+def positive_int(name: str, value) -> int:
+    """value as an int; a ValueError naming it unless it is an integer >= 1
+    (a float or a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 class PointStatus(IntEnum):
     """Per-point outcome of the velocity estimation."""
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import RadarConfig, RadarCube, doppler_bin_velocities, threshold_cut
+from .types import positive_int
 
 
 @dataclass
@@ -49,10 +50,7 @@ class ContextWindow:
 
     def __post_init__(self) -> None:
         for name in ("azimuth_extent", "elevation_extent", "range_extent"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, positive_int(name, getattr(self, name)))
 
 
 def collapse_doppler(cube: RadarCube, cfg: RadarConfig) -> VelocityCube:

@@ -84,6 +84,17 @@ def test_cluster_parameter_validation():
         cluster_points(np.zeros((2, 3)), 0.5, 0)
 
 
+@pytest.mark.parametrize("min_points", [2.5, 3.0, True, False, "3", None])
+def test_cluster_min_points_must_be_an_integer(min_points):
+    # a float would silently round up to the next count, True would read as 1
+    with pytest.raises(ValueError, match="min_points"):
+        cluster_points(np.zeros((4, 3)), 0.3, min_points)
+
+
+def test_cluster_min_points_takes_numpy_integers():
+    assert list(cluster_points(np.zeros((3, 3)), 0.3, np.int64(3))) == [0, 0, 0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -105,6 +116,57 @@ def test_cluster_matches_dense_oracle(seed, n, layout, eps, min_points):
         pts = rng.integers(-3, 4, (n, 3)) * eps + rng.uniform(-50.0, 50.0, 3).round()
     np.testing.assert_array_equal(cluster_points(pts, eps, min_points),
                                   oracle_cluster_points(pts, eps, min_points))
+
+
+def _cell_pair_cloud(rng: np.random.Generator, layout: str, min_points: int):
+    """A cloud and eps that send grid cell pairs down one of the paths of
+    the bounding-box rule, with a little uniform noise for border points."""
+    eps = 0.25
+    centers = rng.integers(-12, 13, (int(rng.integers(1, 6)), 3)) * eps
+    sizes = rng.integers(1, 60, len(centers))
+    if layout == "tight":
+        # blobs far narrower than eps: their cell pairs are all near
+        pts = np.repeat(centers, sizes, axis=0) + rng.normal(0.0, 0.01, (sizes.sum(), 3))
+    elif layout == "exact":
+        # binary-exact points on boxes whose diagonal is exactly eps:
+        # 3-4-5 sixteenths, or eps along one axis
+        eps, extent = [(0.3125, np.array([3, 4, 0]) / 16),
+                       (0.25, np.array([0, 0, 4]) / 16)][int(rng.integers(2))]
+        corners = rng.integers(0, 2, (sizes.sum(), 3)) * extent
+        inside = rng.integers(0, 4, (sizes.sum(), 3)) * extent / 4
+        pts = np.repeat(centers, sizes, axis=0) \
+            + np.where(rng.random((sizes.sum(), 1)) < 0.5, corners, inside)
+    elif layout == "small":
+        # all-near pairs that hold fewer than min_points points, some of them
+        # touching so that a pair's sum can reach min_points
+        sizes = rng.integers(1, max(min_points, 2), len(centers) * 3)
+        centers = np.repeat(centers, 3, axis=0) + rng.integers(-1, 2, (len(sizes), 3)) * eps / 2
+        pts = np.repeat(centers, sizes, axis=0) + rng.normal(0.0, 0.005, (sizes.sum(), 3))
+    elif layout == "duplicates":
+        pts = np.repeat(centers + rng.normal(0.0, 0.1, centers.shape), sizes, axis=0)
+    elif layout == "huge":
+        # blobs at +-1e6, where one ulp is about 1.2e-10 m
+        pts = np.repeat(centers + rng.choice([-1e6, 1e6], (len(centers), 3)), sizes, axis=0) \
+            + rng.normal(0.0, 0.02, (sizes.sum(), 3))
+    else:
+        pts = np.repeat(centers, sizes, axis=0) + rng.normal(0.0, 0.03, (sizes.sum(), 3))
+        pts[rng.random(len(pts)) < 0.1, int(rng.integers(3))] = np.nan
+    noise = centers[rng.integers(0, len(centers), 8)] + rng.uniform(-2 * eps, 2 * eps, (8, 3))
+    pts = np.vstack([pts, noise])
+    return pts[rng.permutation(len(pts))], eps
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["tight", "exact", "small", "duplicates", "huge", "nan"]),
+    min_points=st.integers(1, 12),
+)
+def test_cluster_cell_pair_paths_match_dense_oracle(seed, layout, min_points):
+    pts, eps = _cell_pair_cloud(np.random.default_rng(seed), layout, min_points)
+    with np.errstate(invalid="ignore"):
+        want = oracle_cluster_points(pts, eps, min_points)
+    np.testing.assert_array_equal(cluster_points(pts, eps, min_points), want)
 
 
 def test_cluster_lattice_at_exactly_eps():
@@ -163,6 +225,25 @@ def test_cluster_twenty_thousand_points_without_dense_matrix():
         want[clustered] += next_label
         next_label = max(next_label, int(want.max()) + 1)
         np.testing.assert_array_equal(labels[1000 * k:1000 * (k + 1)], want)
+
+
+def test_cluster_crowd_sized_blobs_in_little_memory():
+    # ten 300-point movers, each far narrower than eps: all of their point
+    # pairs are neighbors, which the cells' bounding boxes decide without
+    # building the 900k pairs
+    rng = np.random.default_rng(73)
+    eps, min_points = 0.3, 5
+    blobs = [c + 0.02 * rng.standard_normal((300, 3))
+             for c in np.stack([np.arange(10.0), np.zeros(10), np.zeros(10)], -1)]
+    pts = np.vstack(blobs)
+    tracemalloc.start()
+    labels = cluster_points(pts, eps, min_points)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 4e6
+    for k, blob in enumerate(blobs):
+        np.testing.assert_array_equal(labels[300 * k:300 * (k + 1)],
+                                      oracle_cluster_points(blob, eps, min_points) + k)
 
 
 def test_ave_examples():
