@@ -37,6 +37,7 @@ from .velcube import (
 )
 
 DEFAULT_COND_BOUND = 1e6
+_EPS = np.finfo(np.float64).eps
 
 
 def check_cond_bound(cond_bound: float) -> None:
@@ -58,6 +59,57 @@ def read_flow(flow: FlowField, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray
     return flow_vec, covered
 
 
+def closed_form_cond(u_p: np.ndarray, v_p: np.ndarray, r_hat: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers (N,) of the constraint matrices with rows
+    (1, 0, -u_p), (0, 1, -v_p) and r_hat, from elementwise float64 ufuncs only.
+
+    The eigenvalues of M M^T are 1 + mu, where mu are the eigenvalues of
+    E = M M^T - I. E's entries are u^2, v^2, uv, the residuals
+    b = (r_x - u r_z, r_y - v r_z) and |r_hat|^2 - 1, so they carry no
+    cancellation; its characteristic polynomial is
+    mu^3 - tr(E) mu^2 + (kappa w^2 - |b|^2) mu + gamma^2 with
+    w^2 = u^2 + v^2, kappa = |r_hat|^2 - 1 and gamma = u r_y - v r_x. The
+    largest root mu1 comes from Smith's trigonometric formula (CACM 1961);
+    the other two have the product -gamma^2 / mu1 <= 0, so the larger one,
+    mu2, solves a quadratic whose discriminant is a sum of squares. With
+    det M = r_hat . (u, v, 1) = s1 s2 s3, cond = s1 / s3 = (1 + mu1)
+    sqrt(1 + mu2) / |det M|.
+
+    Against np.linalg.cond the relative error is a few eps * cond, except
+    near matrices whose two largest singular values coincide, where the
+    trigonometric formula loses half the digits (up to ~sqrt(eps)). Exactly
+    singular matrices give inf; M = I gives 1. Inputs whose squares overflow
+    give NaN.
+    """
+    rx, ry, rz = r_hat[:, 0], r_hat[:, 1], r_hat[:, 2]
+    with np.errstate(all="ignore"):
+        e00, e11, e01 = u_p * u_p, v_p * v_p, u_p * v_p
+        e02, e12 = rx - u_p * rz, ry - v_p * rz
+        e22 = (rx * rx + ry * ry + rz * rz) - 1.0
+        w2 = e00 + e11
+        gamma2 = (u_p * ry - v_p * rx) ** 2
+        # Smith: mu1 = q + 2 p cos(acos(det(B) / 2) / 3), B = (E - q I) / p.
+        q = (e00 + e11 + e22) / 3.0
+        b00, b11, b22 = e00 - q, e11 - q, e22 - q
+        p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                     + 2.0 * (e01 * e01 + e02 * e02 + e12 * e12)) / 6.0)
+        b00, b11, b22, b01, b02, b12 = b00 / p, b11 / p, b22 / p, e01 / p, e02 / p, e12 / p
+        det_b = (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
+                 + b02 * (b01 * b12 - b11 * b02))
+        phi = np.arccos(np.clip(det_b / 2.0, -1.0, 1.0)) / 3.0
+        mu1 = np.where(p > 0, q + 2.0 * p * np.cos(phi), q)  # p = 0: E = q I
+        # mu2 + mu3 from the trace, or for mu1 > 1 (where the trace's
+        # rounding would grow with mu1) from the quadratic coefficient.
+        s = np.where(mu1 > 1.0,
+                     (e22 * w2 - (e02 * e02 + e12 * e12) + gamma2 / mu1) / mu1,
+                     (w2 + e22) - mu1)
+        prod = gamma2 / np.maximum(mu1, np.finfo(np.float64).tiny)  # -mu2 * mu3; 0 when mu1 = 0
+        root = np.sqrt(s * s + 4.0 * prod)
+        mu2 = np.where(s >= 0, (s + root) / 2.0, 2.0 * prod / (root - s))
+        det = u_p * rx + v_p * ry + rz
+        return (1.0 + mu1) * np.sqrt(1.0 + mu2) / np.abs(det)
+
+
 def solve_velocities(
     p_norm: np.ndarray,
     q_cam: np.ndarray,
@@ -76,6 +128,13 @@ def solve_velocities(
     constraint matrix has a non-finite condition number or one that
     reaches cond_bound (a condition number, so at least 1) is not solved
     and gets zero velocity.
+
+    The decision is np.linalg.cond's, taken without one SVD per point:
+    closed_form_cond gives each condition number c in closed form, and
+    np.linalg.cond runs only on the points it cannot decide, those whose c
+    is not finite or lies within 64 (sqrt(eps) + eps c) c of cond_bound.
+    That band covers the closed form's error and LAPACK's. The solved points
+    go through np.linalg.solve.
     """
     check_cond_bound(cond_bound)
     p = np.asarray(p_norm, dtype=np.float64).reshape(-1, 2)
@@ -93,8 +152,15 @@ def solve_velocities(
     m[:, 2] = r_hat
     rhs = np.stack([(q[:, 0] - u_p * q[:, 2]) / dt, (q[:, 1] - v_p * q[:, 2]) / dt,
                     r_dot], axis=1)
-    cond = np.linalg.cond(m)
-    solved = np.isfinite(cond) & (cond < cond_bound)
+    c = closed_form_cond(u_p, v_p, r_hat)
+    with np.errstate(all="ignore"):
+        tol = 64.0 * (np.sqrt(_EPS) + _EPS * c) * c
+        decided = (np.abs(c - cond_bound) > tol) & (tol < c)  # False where c is NaN or inf
+    solved = decided & (c < cond_bound)
+    undecided = np.flatnonzero(~decided)
+    if len(undecided):
+        cond = np.linalg.cond(m[undecided])
+        solved[undecided] = np.isfinite(cond) & (cond < cond_bound)
     velocities = np.zeros((len(p), 3))
     velocities[solved] = np.linalg.solve(m[solved], rhs[solved, :, None])[:, :, 0]
     return velocities, solved

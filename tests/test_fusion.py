@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from velofusion.cube import RadarConfig, build_radar_cube, threshold_cube
-from velofusion.fusion import estimate_frame, read_flow, solve_velocities
-from velofusion.io import default_camera
+from velofusion.fusion import (
+    DEFAULT_COND_BOUND,
+    closed_form_cond,
+    estimate_frame,
+    read_flow,
+    solve_velocities,
+)
+from velofusion.io import default_camera, load_scene
 from velofusion.sim import Scatterer, SceneConfig, synth_flow, synth_lidar, simulate_adc
 from velofusion.types import (
     CameraModel,
@@ -21,6 +28,8 @@ from velofusion.types import (
 from velofusion.velcube import ContextWindow, VelocityCube, collapse_doppler, query_radial_velocity
 
 from helpers import oracle_estimate_frame, random_rotation
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def _identity_camera(fx=500.0):
@@ -521,3 +530,152 @@ def test_estimate_frame_permutation_equivariant(seed, n_points):
     shuffled = estimate_frame(PointCloud(cloud.positions[perm]), vc, flow, camera, FramePair())
     np.testing.assert_array_equal(shuffled.status, base.status[perm])
     np.testing.assert_array_equal(shuffled.velocities, base.velocities[perm])
+
+
+# --------------------------------------------------------------------------
+# The closed-form condition number behind the DEGENERATE_GEOMETRY decision
+
+_EPS = np.finfo(np.float64).eps
+_COND_BOUNDS = (1.0, 50.0, 1e6, 1e12, np.inf)
+
+
+def _unit(x):
+    return x / np.linalg.norm(x)
+
+
+def _constraint_matrices(p_norm, r_hat):
+    """The stacked constraint matrices exactly as solve_velocities builds them."""
+    m = np.zeros((len(p_norm), 3, 3))
+    m[:, 0, 0] = m[:, 1, 1] = 1.0
+    m[:, 0, 2], m[:, 1, 2] = 0.0 - p_norm[:, 0], 0.0 - p_norm[:, 1]
+    m[:, 2] = r_hat
+    return m
+
+
+@st.composite
+def _constraint_rows(draw):
+    """(u_p, v_p, r_hat) of one constraint matrix, drawn from a family that
+    stresses the closed form: any line of sight, one nearly or exactly
+    perpendicular to (u, v, 1) (singular), one nearly along it (the two small
+    singular values coincide), M = +-I, an exactly singular matrix on the
+    optical axis, or one whose two largest singular values coincide.
+    """
+    kind = draw(st.sampled_from(["random", "near_perp", "along", "identity", "axis_singular",
+                                 "top_double"]))
+    if kind == "identity":
+        return 0.0, 0.0, np.array([0.0, 0.0, draw(st.sampled_from([1.0, -1.0]))])
+    angle = draw(st.floats(0.0, 2 * np.pi))
+    if kind == "axis_singular":
+        return 0.0, 0.0, np.array([np.cos(angle), np.sin(angle), 0.0])
+    if kind == "top_double":
+        # u_p = w cos(angle), v_p = w sin(angle) and r_hat = w r_z w_hat +
+        # b w_perp + r_z e_z with |b| = w^2: then M M^T - I has the eigenvalue
+        # w^2 twice.
+        w = draw(st.floats(0.01, 1.0))
+        b = w * w * draw(st.sampled_from([1.0, -1.0]))
+        r_z = np.sqrt((1.0 - b * b) / (1.0 + w * w))
+        w_hat, w_perp = np.array([np.cos(angle), np.sin(angle)]), np.array([-np.sin(angle), np.cos(angle)])
+        r_xy = w * r_z * w_hat + b * w_perp
+        tilt = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+        return w * w_hat[0], w * w_hat[1], _unit(np.append(r_xy, r_z) + tilt)
+    coord = st.floats(-1e3, 1e3)
+    u, v = draw(coord), draw(coord)
+    direction = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    if np.linalg.norm(direction) < 1e-3:
+        direction = np.array([0.3, -0.5, 0.8])
+    n_hat = _unit(np.array([u, v, 1.0]))
+    if kind == "random":
+        return u, v, _unit(direction)
+    tilt = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+    if kind == "along":
+        return u, v, _unit(n_hat + tilt * direction)
+    perp = np.cross(n_hat, direction)
+    if np.linalg.norm(perp) < 1e-3:
+        perp = np.cross(n_hat, [1.0, 0.0, 0.0])
+    return u, v, _unit(_unit(perp) + tilt * n_hat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_constraint_rows(), max_size=12))
+def test_solve_velocities_decides_as_lapack_cond(rows):
+    """solved is np.isfinite(c) & (c < bound) for c = np.linalg.cond(M), the
+    velocities keep every bit of np.linalg.solve, and the closed form agrees
+    with LAPACK: within 64 eps cond, and within its band where the two
+    largest singular values coincide."""
+    p_norm = np.array([row[:2] for row in rows], dtype=np.float64).reshape(-1, 2)
+    r_hat = np.array([row[2] for row in rows], dtype=np.float64).reshape(-1, 3)
+    q = np.tile([0.4, -0.3, 5.0], (len(rows), 1))
+    r_dot = np.linspace(-1.0, 1.0, len(rows))
+    m = _constraint_matrices(p_norm, r_hat)
+    cond = np.linalg.cond(m) if len(rows) else np.zeros(0)
+    rhs = np.stack([(q[:, 0] - p_norm[:, 0] * q[:, 2]) / 0.1,
+                    (q[:, 1] - p_norm[:, 1] * q[:, 2]) / 0.1, r_dot], axis=1)
+    for bound in _COND_BOUNDS:
+        expected = np.isfinite(cond) & (cond < bound)
+        velocities = np.zeros((len(rows), 3))
+        try:
+            velocities[expected] = np.linalg.solve(m[expected], rhs[expected, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # An exactly singular matrix whose LAPACK cond is finite (~1e17)
+            # passes an infinite bound, and np.linalg.solve then raises.
+            with pytest.raises(np.linalg.LinAlgError):
+                solve_velocities(p_norm, q, r_hat, r_dot, 0.1, bound)
+            continue
+        vel, solved = solve_velocities(p_norm, q, r_hat, r_dot, 0.1, bound)
+        np.testing.assert_array_equal(solved, expected)
+        np.testing.assert_array_equal(vel, velocities)
+
+    c = closed_form_cond(p_norm[:, 0], p_norm[:, 1], r_hat)
+    with np.errstate(all="ignore"):
+        err = np.abs(c - cond)
+    checked = cond < 1e12
+    assert np.all(err[checked] <= 64 * (np.sqrt(_EPS) + _EPS * cond[checked]) * cond[checked])
+    s = np.linalg.svd(m, compute_uv=False) if len(rows) else np.zeros((0, 3))
+    apart = checked & (s[:, 0] - s[:, 1] > 1e-3 * s[:, 0])
+    assert np.all(err[apart] <= 64 * _EPS * cond[apart] * cond[apart])
+
+
+@pytest.mark.parametrize("r_z", [1.0, -1.0])
+def test_closed_form_cond_of_identity_is_one(r_z):
+    """A point on the optical axis seen along it: M = +-I, where Smith's p is 0."""
+    c = closed_form_cond(np.zeros(1), np.zeros(1), np.array([[0.0, 0.0, r_z]]))
+    assert c.tolist() == [1.0]
+
+
+def _count_lapack_cond(monkeypatch):
+    calls = []
+    lapack_cond = np.linalg.cond
+
+    def counting_cond(x, *args, **kwargs):
+        calls.append(len(x))
+        return lapack_cond(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    return calls
+
+
+def test_lapack_cond_not_called_on_a_demo_frame(monkeypatch):
+    scene, cfg, camera = load_scene(SCENES / "demo.json")
+    cloud = synth_lidar(scene, 1)
+    vc = collapse_doppler(build_radar_cube(simulate_adc(scene, 1, cfg), cfg), cfg)
+    flow = synth_flow(scene, 0, camera)
+    calls = _count_lapack_cond(monkeypatch)
+    for cond_bound in (DEFAULT_COND_BOUND, np.inf):
+        out = estimate_frame(cloud, vc, flow, camera, FramePair(scene.frame_interval),
+                             cond_bound=cond_bound)
+        assert np.count_nonzero(out.status == PointStatus.OK) > 100
+    assert calls == []
+    solve_velocities(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), 0.1)
+    assert calls == []
+
+
+def test_lapack_cond_decides_the_singular_sphere(monkeypatch):
+    rng = np.random.default_rng(67)
+    cloud, vc, flow = _oracle_scene(rng, density=1.0, coverage=1.0)
+    flow = FlowField(np.zeros_like(flow.flow), flow.covered, flow.dt)
+    points = cloud.positions.copy()
+    points[4:8] = ON_SIDE_SPHERE
+    calls = _count_lapack_cond(monkeypatch)
+    out = estimate_frame(PointCloud(points), vc, flow, SIDE_CAMERA, FramePair())
+    assert len(calls) == 1 and calls[0] >= 4
+    assert np.all(out.status[4:8] == PointStatus.DEGENERATE_GEOMETRY)
