@@ -7,6 +7,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from .io import (
     FrameBundle,
     load_scene,
     read_frame_sequence,
-    read_velocity_sequence,
     write_frame_sequence,
     write_report,
 )
@@ -88,37 +88,42 @@ def cmd_process(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_eval_frames(est_dir: str, truth_dir: str) -> list[EvalFrame]:
-    clouds, _ = read_velocity_sequence(est_dir)
-    if not clouds:
-        raise ValueError(f"{est_dir} holds no estimates (process writes them)")
-    bundles, _, _, _ = read_frame_sequence(truth_dir, ("lidar", "ground_truth"))
-    truth = {b.frame_index: b for b in bundles}
-    missing = sorted(i for i in clouds if i not in truth)
-    if missing:
-        raise ValueError(
-            f"frame count mismatch: {len(clouds)} estimate frames vs {len(truth)} "
-            f"truth frames (estimate frames {missing} missing from truth)"
-        )
-    frames = []
-    for idx in sorted(clouds):
-        timestamp, est = clouds[idx]
-        bundle = truth[idx]
-        if bundle.lidar is None:
-            raise ValueError(f"truth frame {idx} has no lidar positions")
-        if len(est) != len(bundle.lidar):
+def _eval_frames(est_dir: str, truth_dir: str) -> Iterator[EvalFrame]:
+    """Each frame of est_dir that holds an estimate, beside the truth frame of
+    the same index, read one frame at a time. read_frame_sequence yields
+    frame k k-th, so the two sequences advance in step; truth frames past the
+    last estimate frame are not read."""
+    estimates, _, _, _ = read_frame_sequence(est_dir, ("estimate",))
+    truths, _, _, _ = read_frame_sequence(truth_dir, ("lidar", "ground_truth"))
+    n_estimates = n_truths = 0
+    for bundle in estimates:
+        truth = next(truths, None)
+        n_truths += truth is not None
+        est, idx = bundle.estimate, bundle.frame_index
+        if est is None:
+            continue
+        if truth is None:
+            missing = [idx, *(b.frame_index for b in estimates if b.estimate is not None)]
             raise ValueError(
-                f"frame {idx}: {len(est)} estimated points vs {len(bundle.lidar)} truth points"
+                f"frame count mismatch: {n_estimates + len(missing)} estimate frames vs "
+                f"{n_truths} truth frames (estimate frames {missing} missing from truth)"
             )
-        gt = bundle.ground_truth.velocities if bundle.ground_truth is not None else None
-        frames.append(EvalFrame(idx, timestamp, bundle.lidar.positions,
-                                est.velocities, est.status, gt))
-    return frames
+        if truth.lidar is None:
+            raise ValueError(f"truth frame {idx} has no lidar positions")
+        if len(est) != len(truth.lidar):
+            raise ValueError(
+                f"frame {idx}: {len(est)} estimated points vs {len(truth.lidar)} truth points"
+            )
+        gt = truth.ground_truth.velocities if truth.ground_truth is not None else None
+        n_estimates += 1
+        yield EvalFrame(idx, bundle.timestamp, truth.lidar.positions,
+                        est.velocities, est.status, gt)
+    if not n_estimates:
+        raise ValueError(f"{est_dir} holds no estimates (process writes them)")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    frames = _load_eval_frames(args.est, args.truth)
-    tracks = build_tracks(frames, args.eps, args.min_points)
+    tracks = build_tracks(_eval_frames(args.est, args.truth), args.eps, args.min_points)
     report = evaluate_tracks(tracks)
     write_report(args.report, report)
     print(
@@ -199,8 +204,7 @@ def _svg_speed_chart(rows: list[dict]) -> str:
 
 
 def cmd_plot_speeds(args: argparse.Namespace) -> int:
-    frames = _load_eval_frames(args.est, args.truth)
-    tracks = build_tracks(frames, args.eps, args.min_points)
+    tracks = build_tracks(_eval_frames(args.est, args.truth), args.eps, args.min_points)
     rows = _speed_rows(tracks)
     if not rows:
         raise ValueError("no plottable track frames")

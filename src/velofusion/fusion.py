@@ -38,6 +38,11 @@ from .velcube import (
 
 DEFAULT_COND_BOUND = 1e6
 _EPS = np.finfo(np.float64).eps
+# At this condition number a 3x3 matrix is rank-deficient to working
+# precision (np.linalg.matrix_rank's default tolerance, 3 eps sigma_max), and
+# LAPACK's LU may meet an exactly zero pivot: such a point is degenerate
+# whatever the cond_bound.
+_RANK_DEFICIENT_COND = 1.0 / (3.0 * _EPS)
 
 
 def check_cond_bound(cond_bound: float) -> None:
@@ -126,17 +131,19 @@ def solve_velocities(
     radial velocities and dt the seconds between the frames. Returns
     (velocities (N, 3) in the camera frame, solved (N,)): a point whose
     constraint matrix has a non-finite condition number or one that
-    reaches cond_bound (a condition number, so at least 1) is not solved
-    and gets zero velocity.
+    reaches the bound is not solved and gets zero velocity. The bound is
+    cond_bound (a condition number, so at least 1), capped at 1 / (3 eps),
+    where the matrix is rank-deficient to working precision.
 
     The decision is np.linalg.cond's, taken without one SVD per point:
     closed_form_cond gives each condition number c in closed form, and
     np.linalg.cond runs only on the points it cannot decide, those whose c
-    is not finite or lies within 64 (sqrt(eps) + eps c) c of cond_bound.
+    is not finite or lies within 64 (sqrt(eps) + eps c) c of the bound.
     That band covers the closed form's error and LAPACK's. The solved points
     go through np.linalg.solve.
     """
     check_cond_bound(cond_bound)
+    bound = min(cond_bound, _RANK_DEFICIENT_COND)
     p = np.asarray(p_norm, dtype=np.float64).reshape(-1, 2)
     q = np.asarray(q_cam, dtype=np.float64).reshape(-1, 3)
     r_hat = np.asarray(r_hat, dtype=np.float64).reshape(-1, 3)
@@ -155,12 +162,12 @@ def solve_velocities(
     c = closed_form_cond(u_p, v_p, r_hat)
     with np.errstate(all="ignore"):
         tol = 64.0 * (np.sqrt(_EPS) + _EPS * c) * c
-        decided = (np.abs(c - cond_bound) > tol) & (tol < c)  # False where c is NaN or inf
-    solved = decided & (c < cond_bound)
+        decided = (np.abs(c - bound) > tol) & (tol < c)  # False where c is NaN or inf
+    solved = decided & (c < bound)
     undecided = np.flatnonzero(~decided)
     if len(undecided):
         cond = np.linalg.cond(m[undecided])
-        solved[undecided] = np.isfinite(cond) & (cond < cond_bound)
+        solved[undecided] = np.isfinite(cond) & (cond < bound)
     velocities = np.zeros((len(p), 3))
     velocities[solved] = np.linalg.solve(m[solved], rhs[solved, :, None])[:, :, 0]
     return velocities, solved

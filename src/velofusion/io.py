@@ -416,7 +416,9 @@ def read_velocity_sequence(
 ) -> tuple[dict[int, tuple[float, VelocityPointCloud]], float]:
     """The estimates of a sequence that `process` wrote, as {frame index:
     (timestamp, estimate)} over the frames that hold one, and the frame
-    interval."""
+    interval. It holds every estimate at once, so the package itself reads
+    estimates through read_frame_sequence; this stays for perfbench's
+    `cli_roundtrip` workload, which reads the estimates back with it."""
     frames, _, _, frame_interval = read_frame_sequence(directory, ("estimate",))
     clouds = {b.frame_index: (b.timestamp, b.estimate) for b in frames if b.estimate is not None}
     return clouds, frame_interval

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -20,7 +21,7 @@ ASSOCIATION_GATE = 0.5    # m, max centroid jump between consecutive frames
 # are not adjacent.
 _CELL_MARGIN = 1e-9
 _NEIGHBOR_OFFSETS = np.indices((3, 3, 3)).reshape(3, -1).T - 1  # (27, 3), each in {-1, 0, 1}
-_PAIR_CHUNK = 1 << 14     # point pairs per batch of undecided cell pairs
+_PAIR_CHUNK = 1 << 14     # point pairs per batch checked point by point
 
 
 def _grid_cells(pts: np.ndarray, cell: float) -> tuple[np.ndarray, list[int]]:
@@ -107,21 +108,21 @@ def _neighborhoods(
     link_j = np.concatenate([order[starts[cell_of[starred]]], order[starred],
                              order[starts[b[dense]]]])
 
-    # Undecided pairs, point by point in batches of about _PAIR_CHUNK pairs.
+    # Undecided pairs, point by point in batches of _PAIR_CHUNK pairs. The
+    # point pairs are numbered k in cell-pair order, row-major within each
+    # cell pair; pair k belongs to the first cell pair whose end exceeds k.
     ca, cb = a[check], b[check]
     n_pairs = sizes[ca] * sizes[cb]
-    total = np.cumsum(n_pairs)
-    cuts = np.unique(np.searchsorted(
-        total, np.arange(_PAIR_CHUNK, total[-1] if len(total) else 0, _PAIR_CHUNK),
-        side="right"))
+    ends = np.cumsum(n_pairs)
+    begins = ends - n_pairs
+    total = int(ends[-1]) if len(ends) else 0
     firsts, seconds, dists = [], [], []
-    for begin, end in zip([0, *cuts], [*cuts, len(ca)]):
-        part = slice(begin, end)
-        n = n_pairs[part]
-        step = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        row, col = np.divmod(step, np.repeat(sizes[cb[part]], n))
-        i = np.repeat(starts[ca[part]], n) + row
-        j = np.repeat(starts[cb[part]], n) + col
+    for k0 in range(0, max(total, 1), _PAIR_CHUNK):  # one batch, empty, when total is 0
+        k = np.arange(k0, min(k0 + _PAIR_CHUNK, total))
+        p = np.searchsorted(ends, k, side="right")
+        row, col = np.divmod(k - begins[p], sizes[cb[p]])
+        i = starts[ca[p]] + row
+        j = starts[cb[p]] + col
         dist = _length(c[i] - c[j] for c in coords)
         near = dist <= eps
         firsts.append(order[i[near]])
@@ -161,8 +162,8 @@ def cluster_points(points: np.ndarray, eps: float, min_points: int) -> np.ndarra
     border points equidistant from two clusters' cores, membership does not
     depend on point order. Neighbors come from a grid hash whose adjacent
     cell pairs are decided by their points' bounding boxes where they can be
-    (`_neighborhoods`), so memory grows with the point pairs of the undecided
-    cell pairs, not with N^2.
+    (`_neighborhoods`); the other pairs' points are checked in fixed batches,
+    so memory grows with the point pairs within eps, not with N^2.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -340,16 +341,27 @@ def _cluster_frames(frame: EvalFrame, labels: np.ndarray) -> list[TrackFrame]:
     ]
 
 
-def build_tracks(frames: list[EvalFrame], eps: float, min_points: int) -> list[ObjectTrack]:
+def build_tracks(frames: Iterable[EvalFrame], eps: float, min_points: int) -> list[ObjectTrack]:
     """Cluster each frame and chain clusters into tracks.
 
-    Clusters of consecutive frames are matched greedily by ascending centroid
-    distance, capped at ASSOCIATION_GATE meters; unmatched clusters open new
-    tracks.
+    The frames are read one at a time and only their clusters are kept, so
+    any iterable in ascending frame order will do; a frame index that is not
+    greater than the one before it raises. Clusters of consecutive frames are
+    matched greedily by ascending centroid distance, capped at
+    ASSOCIATION_GATE meters; unmatched clusters open new tracks, and a gap in
+    the frame indices ends every track.
     """
     tracks: list[ObjectTrack] = []
     active: dict[int, ObjectTrack] = {}  # track_id -> track with a frame at f-1
-    for frame in sorted(frames, key=lambda f: f.frame_index):
+    last = None  # frame index of the previous frame
+    for frame in frames:
+        if last is not None:
+            if frame.frame_index <= last:
+                raise ValueError(f"frame {frame.frame_index} follows frame {last}: frames "
+                                 f"must come in ascending frame order")
+            if frame.frame_index > last + 1:
+                active = {}
+        last = frame.frame_index
         observations = _cluster_frames(frame, cluster_points(frame.positions, eps, min_points))
 
         # Greedy nearest-centroid association against last frame's tracks.

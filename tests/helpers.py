@@ -387,8 +387,9 @@ def oracle_synth_flow(scene, frame_index: int, camera) -> tuple[FlowField, int]:
 
 def oracle_build_tracks(frames, eps: float, min_points: int) -> list[ObjectTrack]:
     """Tracks with every cluster summarised by masked means, one cluster at a
-    time, then greedy nearest-centroid association. Clustering is the
-    package's `cluster_points`, which has its own oracle above."""
+    time, then greedy nearest-centroid association against the tracks whose
+    last frame is the frame before. Clustering is the package's
+    `cluster_points`, which has its own oracle above."""
     tracks: list[ObjectTrack] = []
     active: dict[int, ObjectTrack] = {}
     for frame in sorted(frames, key=lambda f: f.frame_index):
@@ -409,6 +410,8 @@ def oracle_build_tracks(frames, eps: float, min_points: int) -> list[ObjectTrack
             ))
         pairs = []
         for tid, track in active.items():
+            if track.frames[-1].frame_index != frame.frame_index - 1:
+                continue
             for cid, obs in enumerate(observations):
                 d = float(np.linalg.norm(obs.centroid - track.frames[-1].centroid))
                 if d <= ASSOCIATION_GATE:

@@ -357,25 +357,42 @@ def test_bad_manifest_types_fail_cleanly(pipeline_dirs, tmp_path, capsys,
 
 def test_evaluate_rejects_missing_truth_frames(pipeline_dirs, tmp_path, capsys):
     _, vel, _ = pipeline_dirs
-    short = tmp_path / "short_frames"
     assert main(["simulate", "--scene", str(SCENES / "tiny.json"),
                  "--out", str(tmp_path / "full"), "--seed", "11"]) == 0
-    # rebuild a truth directory holding only frames 0 and 1
-    import shutil
+    # truth directories holding only frames 0 and 1, and only frame 0
+    for n_frames, missing in ((2, [2]), (1, [1, 2])):
+        short = tmp_path / f"short_{n_frames}"
+        shutil.copytree(tmp_path / "full", short)
+        for f in range(n_frames, 3):
+            shutil.rmtree(short / f"frame_{f:06d}")
+        manifest = json.loads((short / "manifest.json").read_text())
+        manifest["n_frames"] = n_frames
+        (short / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["evaluate", "--est", str(vel), "--truth", str(short),
+                     "--report", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert (f"frame count mismatch: 2 estimate frames vs {n_frames} truth frames "
+                f"(estimate frames {missing} missing from truth)") in err
+        assert not (tmp_path / "r.json").exists()
 
-    shutil.copytree(tmp_path / "full", short)
-    shutil.rmtree(short / "frame_000002")
-    manifest = json.loads((short / "manifest.json").read_text())
-    manifest["n_frames"] = 2
-    (short / "manifest.json").write_text(json.dumps(manifest))
-    capsys.readouterr()
-    code = main(["evaluate", "--est", str(vel), "--truth", str(short),
-                 "--report", str(tmp_path / "r.json")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "frame count mismatch" in err
-    assert "2 estimate frames vs 2 truth frames" in err
-    assert "[2]" in err
+
+def test_evaluate_reads_no_truth_past_the_last_estimate(pipeline_dirs, tmp_path):
+    """Estimates and truth are read side by side, so truth frames past the
+    last estimate frame are never read, however damaged."""
+    frames, vel, report = pipeline_dirs
+    scene = json.loads((SCENES / "tiny.json").read_text())
+    scene["n_frames"] = 5
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    longer = tmp_path / "longer"
+    assert main(["simulate", "--scene", str(tmp_path / "scene.json"),
+                 "--out", str(longer), "--seed", "11"]) == 0
+    for f in (3, 4):
+        (longer / f"frame_{f:06d}" / "meta.json").write_text("not json")
+    assert main(["evaluate", "--est", str(vel), "--truth", str(longer),
+                 "--report", str(tmp_path / "r.json")]) == 0
+    assert (tmp_path / "r.json").read_bytes() == report.read_bytes()
 
 
 def test_evaluate_rejects_point_count_mismatch(pipeline_dirs, tmp_path, capsys):
@@ -545,20 +562,33 @@ def _peak_bytes(argv: list[str]) -> int:
         tracemalloc.stop()
 
 
-def test_simulate_and_process_memory_does_not_grow_with_frames(tmp_path, capsys):
-    """Both commands hold one frame at a time, so eight times the frames
-    stays within 1.5x the peak."""
+def test_commands_memory_does_not_grow_with_frames(tmp_path, capsys):
+    """Every command holds one frame at a time, so eight times the frames
+    stays within 1.5x the peak. The frames are dense (600 points) and the
+    movers move apart, so every frame costs the same to cluster."""
+    scene = json.loads((SCENES / "tiny.json").read_text())
+    scene["lidar_points_per_scatterer"] = 300
+    scene["scatterers"][1]["velocity"] = [0.0, -0.25, 0.0]
     peaks = {}
     for n_frames in (3, 24):
         base = tmp_path / str(n_frames)
         base.mkdir()
-        scene = json.loads((SCENES / "tiny.json").read_text())
         scene["n_frames"] = n_frames
         (base / "scene.json").write_text(json.dumps(scene))
-        peaks[n_frames] = (
-            _peak_bytes(["simulate", "--scene", str(base / "scene.json"),
-                         "--out", str(base / "frames")]),
-            _peak_bytes(["process", "--in", str(base / "frames"), "--out", str(base / "vel")]),
-        )
-    for command, small, large in zip(("simulate", "process"), peaks[3], peaks[24]):
+        frames, vel = str(base / "frames"), str(base / "vel")
+        evaluate = ["evaluate", "--est", vel, "--truth", frames,
+                    "--report", str(base / "report.json")]
+        plot = ["plot-speeds", "--est", vel, "--truth", frames,
+                "--out-csv", str(base / "speeds.csv"), "--out-svg", str(base / "speeds.svg")]
+        peaks[n_frames] = [
+            _peak_bytes(["simulate", "--scene", str(base / "scene.json"), "--out", frames]),
+            _peak_bytes(["process", "--in", frames, "--out", vel]),
+        ]
+        if n_frames == 3:
+            # Warm-up runs, so that what a command allocates only on its first
+            # call in a process does not count toward the 3-frame peak.
+            assert main(evaluate) == 0 and main(plot) == 0
+        peaks[n_frames] += [_peak_bytes(evaluate), _peak_bytes(plot)]
+    for command, small, large in zip(("simulate", "process", "evaluate", "plot-speeds"),
+                                     peaks[3], peaks[24]):
         assert large <= 1.5 * small, f"{command}: {small} B at 3 frames, {large} B at 24"

@@ -595,10 +595,32 @@ def _constraint_rows(draw):
     return u, v, _unit(_unit(perp) + tilt * n_hat)
 
 
+def _lapack_factors(matrix) -> bool:
+    """Whether LAPACK's LU factors the matrix: np.linalg.solve raises on an
+    exactly zero pivot."""
+    try:
+        np.linalg.solve(matrix, np.zeros(3))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def test_solve_velocities_leaves_an_unfactorable_point_unsolved_at_an_infinite_bound():
+    """An exactly singular matrix whose LAPACK cond is finite (~1e17) is
+    rank-deficient, not solved, at cond_bound = inf."""
+    r_hat = np.array([0.9507, 0.2194, -0.2194])
+    r_hat /= np.linalg.norm(r_hat)
+    assert not _lapack_factors(_constraint_matrices(np.array([[0.0, 1.0]]), r_hat[None])[0])
+    vel, solved = solve_velocities([[0.0, 1.0]], [[0.4, -0.3, 5.0]], r_hat, [0.1], 0.1, np.inf)
+    assert solved.tolist() == [False] and vel.tolist() == [[0.0, 0.0, 0.0]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(_constraint_rows(), max_size=12))
 def test_solve_velocities_decides_as_lapack_cond(rows):
-    """solved is np.isfinite(c) & (c < bound) for c = np.linalg.cond(M), the
+    """solved is np.isfinite(c) & (c < bound) for c = np.linalg.cond(M) and
+    the bound capped at 1 / (3 eps), where M is rank-deficient to working
+    precision, so a matrix LAPACK cannot factor is never solved. The
     velocities keep every bit of np.linalg.solve, and the closed form agrees
     with LAPACK: within 64 eps cond, and within its band where the two
     largest singular values coincide."""
@@ -608,22 +630,17 @@ def test_solve_velocities_decides_as_lapack_cond(rows):
     r_dot = np.linspace(-1.0, 1.0, len(rows))
     m = _constraint_matrices(p_norm, r_hat)
     cond = np.linalg.cond(m) if len(rows) else np.zeros(0)
+    unfactorable = np.array([not _lapack_factors(x) for x in m], dtype=bool)
     rhs = np.stack([(q[:, 0] - p_norm[:, 0] * q[:, 2]) / 0.1,
                     (q[:, 1] - p_norm[:, 1] * q[:, 2]) / 0.1, r_dot], axis=1)
     for bound in _COND_BOUNDS:
-        expected = np.isfinite(cond) & (cond < bound)
+        expected = np.isfinite(cond) & (cond < min(bound, 1 / (3 * _EPS)))
         velocities = np.zeros((len(rows), 3))
-        try:
-            velocities[expected] = np.linalg.solve(m[expected], rhs[expected, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # An exactly singular matrix whose LAPACK cond is finite (~1e17)
-            # passes an infinite bound, and np.linalg.solve then raises.
-            with pytest.raises(np.linalg.LinAlgError):
-                solve_velocities(p_norm, q, r_hat, r_dot, 0.1, bound)
-            continue
+        velocities[expected] = np.linalg.solve(m[expected], rhs[expected, :, None])[:, :, 0]
         vel, solved = solve_velocities(p_norm, q, r_hat, r_dot, 0.1, bound)
         np.testing.assert_array_equal(solved, expected)
         np.testing.assert_array_equal(vel, velocities)
+        assert not solved[unfactorable].any()  # DEGENERATE_GEOMETRY at every bound
 
     c = closed_form_cond(p_norm[:, 0], p_norm[:, 1], r_hat)
     with np.errstate(all="ignore"):

@@ -475,6 +475,21 @@ def test_track_association_gate_splits_teleporting_cluster():
     assert [f.frame_index for f in tracks[1].frames] == [2, 3]
 
 
+def test_track_ends_at_a_gap_in_frame_indices():
+    frames = [f for f in _make_frames(5, (0.4, 0.0, 0.0), (0.4, 0.0, 0.0))
+              if f.frame_index in (1, 2, 4)]
+    tracks = build_tracks(iter(frames), eps=0.3, min_points=4)
+    assert [[f.frame_index for f in t.frames] for t in tracks] == [[1, 2], [4]]
+
+
+@pytest.mark.parametrize("order, message", [([2, 1, 0], "frame 1 follows frame 2"),
+                                            ([0, 1, 1], "frame 1 follows frame 1")])
+def test_build_tracks_rejects_frames_out_of_order(order, message):
+    frames = _make_frames(3, (0.4, 0.0, 0.0), (0.4, 0.0, 0.0))
+    with pytest.raises(ValueError, match=message):
+        build_tracks([frames[i] for i in order], eps=0.3, min_points=4)
+
+
 def test_evaluate_falls_back_to_centroid_velocity():
     # frames without stored truth: ground truth comes from centroid motion
     frames = []
@@ -511,12 +526,14 @@ def _assert_same_tracks(got, want):
     points=st.integers(1, 40),
     ok_fraction=st.sampled_from([0.0, 0.3, 1.0]),
     noise=st.integers(0, 5),
+    steps=st.lists(st.integers(1, 2), min_size=5, max_size=5),
 )
 def test_build_tracks_matches_per_cluster_oracle(seed, n_frames, n_objects, points,
-                                                 ok_fraction, noise):
+                                                 ok_fraction, noise, steps):
     # Objects drift across frames; per frame each object keeps a random share
     # of its points (none makes an empty frame), isolated points are noise,
-    # some clusters have no OK points and some frames carry no truth.
+    # some clusters have no OK points, some frames carry no truth and frame
+    # indices may skip one.
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-2.0, 2.0, (n_objects, 3))
     drift = rng.uniform(-0.3, 0.3, (n_objects, 3))
@@ -532,7 +549,8 @@ def test_build_tracks_matches_per_cluster_oracle(seed, n_frames, n_objects, poin
         status = np.where(ok, PointStatus.OK, rng.integers(1, 5, n)).astype(np.uint8)
         velocities = np.where(ok[:, None], rng.standard_normal((n, 3)), 0.0)
         gt = rng.standard_normal((n, 3)) if rng.random() < 0.5 else None
-        frames.append(EvalFrame(f, 0.1 * f, pos, velocities, status, gt))
+        index = sum(steps[:f + 1])
+        frames.append(EvalFrame(index, 0.1 * index, pos, velocities, status, gt))
     _assert_same_tracks(build_tracks(frames, eps=0.3, min_points=4),
                         oracle_build_tracks(frames, eps=0.3, min_points=4))
 
