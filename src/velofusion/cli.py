@@ -31,6 +31,8 @@ from .sim import ground_truth_velocities, simulate_adc, synth_flow, synth_lidar
 from .types import FramePair
 from .velcube import ContextWindow, collapse_doppler
 
+_CLUSTER_EPS, _CLUSTER_MIN_POINTS = 0.3, 5  # evaluate's and plot-speeds' clustering defaults
+
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scene, radar, camera = load_scene(args.scene)
@@ -208,9 +210,7 @@ def cmd_plot_speeds(args: argparse.Namespace) -> int:
     rows = _speed_rows(tracks)
     if not rows:
         raise ValueError("no plottable track frames")
-    fields = ["track_id", "frame_index", "timestamp", "speed_est", "speed_truth",
-              "radial_speed_est", "radial_speed_truth",
-              "tangential_speed_est", "tangential_speed_truth"]
+    fields = ["track_id", "frame_index", "timestamp", *(key for key, *_ in _SERIES)]
     with open(args.out_csv, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=fields)
         writer.writeheader()
@@ -239,9 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True, help="input frame sequence")
     p.add_argument("--out", required=True,
                    help="output sequence directory for the estimates (not --in)")
-    p.add_argument("--window-az", type=int, default=10, help="context window azimuth bins")
-    p.add_argument("--window-el", type=int, default=10, help="context window elevation bins")
-    p.add_argument("--window-range", type=int, default=20, help="context window range bins")
+    window = ContextWindow()
+    p.add_argument("--window-az", type=int, default=window.azimuth_extent,
+                   help="context window azimuth bins")
+    p.add_argument("--window-el", type=int, default=window.elevation_extent,
+                   help="context window elevation bins")
+    p.add_argument("--window-range", type=int, default=window.range_extent,
+                   help="context window range bins")
     p.add_argument("--cond-bound", type=float, default=DEFAULT_COND_BOUND,
                    help="condition number above which the solve is degenerate")
     p.set_defaults(func=cmd_process)
@@ -250,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--est", required=True, help="sequence directory that process wrote")
     p.add_argument("--truth", required=True, help="truth frame sequence directory")
     p.add_argument("--report", required=True, help="metrics report output (JSON)")
-    p.add_argument("--eps", type=float, default=0.3, help="clustering radius, m")
-    p.add_argument("--min-points", type=int, default=5, help="clustering core threshold")
+    p.add_argument("--eps", type=float, default=_CLUSTER_EPS, help="clustering radius, m")
+    p.add_argument("--min-points", type=int, default=_CLUSTER_MIN_POINTS,
+                   help="clustering core threshold")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("plot-speeds", help="per-track speed curves as CSV and SVG")
@@ -259,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="truth frame sequence directory")
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-svg", required=True)
-    p.add_argument("--eps", type=float, default=0.3, help="clustering radius, m")
-    p.add_argument("--min-points", type=int, default=5, help="clustering core threshold")
+    p.add_argument("--eps", type=float, default=_CLUSTER_EPS, help="clustering radius, m")
+    p.add_argument("--min-points", type=int, default=_CLUSTER_MIN_POINTS,
+                   help="clustering core threshold")
     p.set_defaults(func=cmd_plot_speeds)
     return parser
 

@@ -64,55 +64,20 @@ def read_flow(flow: FlowField, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray
     return flow_vec, covered
 
 
-def closed_form_cond(u_p: np.ndarray, v_p: np.ndarray, r_hat: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers (N,) of the constraint matrices with rows
-    (1, 0, -u_p), (0, 1, -v_p) and r_hat, from elementwise float64 ufuncs only.
-
-    The eigenvalues of M M^T are 1 + mu, where mu are the eigenvalues of
-    E = M M^T - I. E's entries are u^2, v^2, uv, the residuals
-    b = (r_x - u r_z, r_y - v r_z) and |r_hat|^2 - 1, so they carry no
-    cancellation; its characteristic polynomial is
-    mu^3 - tr(E) mu^2 + (kappa w^2 - |b|^2) mu + gamma^2 with
-    w^2 = u^2 + v^2, kappa = |r_hat|^2 - 1 and gamma = u r_y - v r_x. The
-    largest root mu1 comes from Smith's trigonometric formula (CACM 1961);
-    the other two have the product -gamma^2 / mu1 <= 0, so the larger one,
-    mu2, solves a quadratic whose discriminant is a sum of squares. With
-    det M = r_hat . (u, v, 1) = s1 s2 s3, cond = s1 / s3 = (1 + mu1)
-    sqrt(1 + mu2) / |det M|.
-
-    Against np.linalg.cond the relative error is a few eps * cond, except
-    near matrices whose two largest singular values coincide, where the
-    trigonometric formula loses half the digits (up to ~sqrt(eps)). Exactly
-    singular matrices give inf; M = I gives 1. Inputs whose squares overflow
-    give NaN.
+def frobenius_cond(u_p: np.ndarray, v_p: np.ndarray, r_hat: np.ndarray) -> np.ndarray:
+    """Frobenius-norm condition numbers (N,) |M|_F |adj M|_F / |det M| of the
+    constraint matrices with rows (1, 0, -u_p), (0, 1, -v_p) and r_hat. For
+    3x3 matrices cond_2 <= cond_F <= 3 cond_2 (Golub & Van Loan, Matrix
+    Computations, 2.3). Exactly singular matrices give inf, M = +-I gives 3,
+    and inputs whose squares overflow give inf or NaN.
     """
     rx, ry, rz = r_hat[:, 0], r_hat[:, 1], r_hat[:, 2]
     with np.errstate(all="ignore"):
-        e00, e11, e01 = u_p * u_p, v_p * v_p, u_p * v_p
-        e02, e12 = rx - u_p * rz, ry - v_p * rz
-        e22 = (rx * rx + ry * ry + rz * rz) - 1.0
-        w2 = e00 + e11
-        gamma2 = (u_p * ry - v_p * rx) ** 2
-        # Smith: mu1 = q + 2 p cos(acos(det(B) / 2) / 3), B = (E - q I) / p.
-        q = (e00 + e11 + e22) / 3.0
-        b00, b11, b22 = e00 - q, e11 - q, e22 - q
-        p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
-                     + 2.0 * (e01 * e01 + e02 * e02 + e12 * e12)) / 6.0)
-        b00, b11, b22, b01, b02, b12 = b00 / p, b11 / p, b22 / p, e01 / p, e02 / p, e12 / p
-        det_b = (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
-                 + b02 * (b01 * b12 - b11 * b02))
-        phi = np.arccos(np.clip(det_b / 2.0, -1.0, 1.0)) / 3.0
-        mu1 = np.where(p > 0, q + 2.0 * p * np.cos(phi), q)  # p = 0: E = q I
-        # mu2 + mu3 from the trace, or for mu1 > 1 (where the trace's
-        # rounding would grow with mu1) from the quadratic coefficient.
-        s = np.where(mu1 > 1.0,
-                     (e22 * w2 - (e02 * e02 + e12 * e12) + gamma2 / mu1) / mu1,
-                     (w2 + e22) - mu1)
-        prod = gamma2 / np.maximum(mu1, np.finfo(np.float64).tiny)  # -mu2 * mu3; 0 when mu1 = 0
-        root = np.sqrt(s * s + 4.0 * prod)
-        mu2 = np.where(s >= 0, (s + root) / 2.0, 2.0 * prod / (root - s))
-        det = u_p * rx + v_p * ry + rz
-        return (1.0 + mu1) * np.sqrt(1.0 + mu2) / np.abs(det)
+        w2 = u_p * u_p + v_p * v_p
+        norm2 = 2.0 + w2 + (rx * rx + ry * ry + rz * rz)  # |M|_F^2
+        adj2 = ((rz + v_p * ry) ** 2 + (rz + u_p * rx) ** 2 + (v_p * rx) ** 2 + (u_p * ry) ** 2
+                + rx * rx + ry * ry + w2 + 1.0)  # |adj M|_F^2
+        return np.sqrt(norm2 * adj2) / np.abs(u_p * rx + v_p * ry + rz)  # / |det M|
 
 
 def solve_velocities(
@@ -135,12 +100,14 @@ def solve_velocities(
     cond_bound (a condition number, so at least 1), capped at 1 / (3 eps),
     where the matrix is rank-deficient to working precision.
 
-    The decision is np.linalg.cond's, taken without one SVD per point:
-    closed_form_cond gives each condition number c in closed form, and
-    np.linalg.cond runs only on the points it cannot decide, those whose c
-    is not finite or lies within 64 (sqrt(eps) + eps c) c of the bound.
-    That band covers the closed form's error and LAPACK's. The solved points
-    go through np.linalg.solve.
+    The decision is np.linalg.cond's, taken without one SVD per point: with
+    c = frobenius_cond and the relative tolerance tol = 64 eps (1 + c), which
+    covers the rounding of c and of LAPACK's cond_2, a point is solved when
+    tol < 1 and c (1 + tol) < bound, since cond_2 <= c, and degenerate when
+    tol < 1 and c (1 - tol) >= 3 bound, since c <= 3 cond_2. np.linalg.cond
+    runs on the rest, one SVD each: points whose cond_2 may lie within about
+    3x of the bound, and those whose c is not finite or above about 7e13.
+    The solved points go through np.linalg.solve.
     """
     check_cond_bound(cond_bound)
     bound = min(cond_bound, _RANK_DEFICIENT_COND)
@@ -159,12 +126,13 @@ def solve_velocities(
     m[:, 2] = r_hat
     rhs = np.stack([(q[:, 0] - u_p * q[:, 2]) / dt, (q[:, 1] - v_p * q[:, 2]) / dt,
                     r_dot], axis=1)
-    c = closed_form_cond(u_p, v_p, r_hat)
+    c = frobenius_cond(u_p, v_p, r_hat)
     with np.errstate(all="ignore"):
-        tol = 64.0 * (np.sqrt(_EPS) + _EPS * c) * c
-        decided = (np.abs(c - bound) > tol) & (tol < c)  # False where c is NaN or inf
-    solved = decided & (c < bound)
-    undecided = np.flatnonzero(~decided)
+        tol = 64.0 * _EPS * (1.0 + c)
+        sure = tol < 1  # False where c is NaN, inf or above about 7e13
+        solved = sure & (c * (1.0 + tol) < bound)
+        degenerate = sure & (c * (1.0 - tol) >= 3.0 * bound)
+    undecided = np.flatnonzero(~(solved | degenerate))
     if len(undecided):
         cond = np.linalg.cond(m[undecided])
         solved[undecided] = np.isfinite(cond) & (cond < bound)

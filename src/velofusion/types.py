@@ -112,12 +112,12 @@ def project_points(points: np.ndarray, camera: CameraModel) -> tuple[np.ndarray,
     """Vectorized pinhole projection of radar-frame points.
 
     Returns (u, v, depth) arrays; u/v are NaN wherever depth <= 0 (behind the
-    camera, no pixel).
+    camera, no pixel) or is NaN.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    cam = pts @ camera.rotation.T + camera.translation
-    depth = cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # non-finite points give NaN
+        cam = pts @ camera.rotation.T + camera.translation
+        depth = cam[:, 2]
         u = camera.fx * cam[:, 0] / depth + camera.cx
         v = camera.fy * cam[:, 1] / depth + camera.cy
     u = np.where(depth > 0, u, np.nan)

@@ -99,13 +99,13 @@ def point_bins(points: np.ndarray, cfg: RadarConfig) -> tuple[np.ndarray, np.nda
     """Nearest (range, azimuth, elevation) bin of every point.
 
     Returns (bins, inside): bins is (N, 3) int64, inside is False for points
-    outside the cube coverage (zero range, beyond max range or outside the
-    angular FoV), whose bins read 0.
+    outside the cube coverage (zero range, a non-finite coordinate, beyond
+    max range or outside the angular FoV), whose bins read 0.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     bins = np.zeros((len(pts), 3), dtype=np.int64)
     x, y, z = pts.T
-    idx = np.flatnonzero(x * x + y * y + z * z > 0)
+    idx = np.flatnonzero(np.isfinite(pts).all(axis=1) & (x * x + y * y + z * z > 0))
     rng, az, el = cartesian_to_polar(pts[idx])
     keep = ((rng <= cfg.max_range) & (np.abs(az) <= cfg.azimuth_fov / 2)
             & (np.abs(el) <= cfg.elevation_fov / 2))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from velofusion.cli import main
+from velofusion.cli import build_parser, main
 from velofusion.cube import build_radar_cube, threshold_cube
 from velofusion.fusion import estimate_frame
 from velofusion.io import read_frame_sequence, read_tensor, read_velocity_sequence, write_tensor
@@ -94,6 +94,11 @@ def test_process_applies_window_and_cond_bound_flags(pipeline_dirs, tmp_path):
         assert np.array_equal(got[bundle.frame_index][1].status, want.status)
         assert np.array_equal(got[bundle.frame_index][1].velocities, want.velocities)
     assert any(not np.array_equal(got[i][1].status, at_default[i][1].status) for i in got)
+
+
+def test_process_window_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["process", "--in", "seq", "--out", "est"])
+    assert ContextWindow(args.window_az, args.window_el, args.window_range) == ContextWindow()
 
 
 @pytest.mark.parametrize("cond_bound", ["nan", "0", "-5"])
