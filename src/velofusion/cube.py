@@ -7,6 +7,12 @@ on the others, giving a magnitude cube indexed (range, azimuth, elevation,
 doppler). The Doppler and both angle axes are center-shifted so zero velocity
 and boresight sit at the middle bin; the range axis is left unshifted and
 keeps one bin per sample of the complex-baseband spectrum.
+
+The range, elevation and azimuth products run as one BLAS call per chirp,
+each over the whole chirp, and the Doppler product as one call over the whole
+cube: 3 n_chirps + 1 calls per frame (97 on the default radar), however many
+samples and antennas there are. On the default radar every one of them is
+wide enough for OpenBLAS to run it on its worker threads.
 """
 from __future__ import annotations
 
@@ -122,7 +128,9 @@ def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
 
     Sample and chirp axes are Hanning-windowed; the angle axes are not.
     Doppler and angle axes are center-shifted so zero velocity / boresight
-    land at bin n // 2. The Doppler product runs last, into the output layout.
+    land at bin n // 2. The products alternate between two complex buffers the
+    size of the ADC tensor, and the magnitudes are written straight into the
+    output layout.
     """
     expected = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins, cfg.n_elevation_bins)
     if adc.samples.shape != expected:
@@ -131,13 +139,27 @@ def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
             f"(chirps, samples, az, el) = {expected}"
         )
     n_c, n_s, n_a, n_e = expected
-    # Batched products, one small slice per BLAS call: small cubes then stay under the
-    # size at which BLAS wakes a second thread, which stalled 2-core hosts 10-60 ms.
-    x = _dft_matrix(n_s, True, False) @ adc.samples.transpose(0, 2, 1, 3)        # (C, A, R, E)
-    x = _dft_matrix(n_a, False, True) @ x.transpose(0, 2, 1, 3)                  # (C, R, A, E)
-    x = x @ _dft_matrix(n_e, False, True).T                                      # (C, R, A, E)
-    x = x.reshape(n_c, n_s, -1).transpose(1, 2, 0) @ _dft_matrix(n_c, True, True).T
-    return RadarCube(np.abs(x).reshape(n_s, n_a, n_e, n_c))
+    # Range, elevation and azimuth take one product per chirp, the transformed axis
+    # first (a left product) or last (a right one) of the chirp's block; one
+    # transposing copy moves azimuth last. Doppler is one left product. q comes first
+    # so that the magnitudes can take its memory once it is freed: in the other order
+    # glibc trimmed and re-faulted about 7 MB of heap per pass of the benchmark's
+    # crowd workload.
+    q = np.empty(expected, dtype=np.complex64)
+    p = np.empty(expected, dtype=np.complex64)
+    np.matmul(_dft_matrix(n_s, True, False), adc.samples.reshape(n_c, n_s, -1),
+              out=p.reshape(n_c, n_s, -1))                                          # (C, R, A, E)
+    np.matmul(p.reshape(n_c, -1, n_e), _dft_matrix(n_e, False, True).T,
+              out=q.reshape(n_c, -1, n_e))                                          # (C, R, A, E)
+    np.copyto(p.reshape(n_c, n_s, n_e, n_a),
+              q.reshape(n_c, n_s, n_a, n_e).transpose(0, 1, 3, 2))                  # (C, R, E, A)
+    np.matmul(p.reshape(n_c, -1, n_a), _dft_matrix(n_a, False, True).T,
+              out=q.reshape(n_c, -1, n_a))                                          # (C, R, E, A)
+    np.matmul(_dft_matrix(n_c, True, True), q.reshape(n_c, -1), out=p.reshape(n_c, -1))
+    del q
+    mag = np.empty((n_s, n_a, n_e, n_c), dtype=np.float32)
+    np.abs(p.reshape(n_c, n_s, n_e, n_a).transpose(1, 3, 2, 0), out=mag)            # (R, A, E, C)
+    return RadarCube(mag)
 
 
 def threshold_cut(peak: float, threshold_db: float) -> float:

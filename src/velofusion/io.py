@@ -24,6 +24,7 @@ import math
 import shutil
 import struct
 from dataclasses import MISSING, asdict, dataclass, fields
+from io import SEEK_END
 from pathlib import Path
 from typing import BinaryIO, Collection, Iterable, Iterator
 
@@ -61,13 +62,14 @@ def _dtype_code(dtype: np.dtype) -> int:
 
 def write_tensor(dest: str | Path | BinaryIO, array: np.ndarray) -> None:
     """Write an array in the binary tensor format (overwrites)."""
-    arr = np.asarray(array)  # tobytes() below serializes any layout in C order
+    arr = np.asarray(array)
     code = _dtype_code(arr.dtype)
     if arr.ndim > MAX_RANK:
         raise ValueError(f"tensor rank {arr.ndim} exceeds the format maximum {MAX_RANK}")
     dims = list(arr.shape) + [0] * (MAX_RANK - arr.ndim)
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, code, arr.ndim, *dims)
-    payload = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
+    # no copy when the array already is C-contiguous and little-endian
+    payload = arr.astype(arr.dtype.newbyteorder("<"), order="C", copy=False)
     if hasattr(dest, "write"):
         dest.write(header)
         dest.write(payload)
@@ -78,7 +80,8 @@ def write_tensor(dest: str | Path | BinaryIO, array: np.ndarray) -> None:
 
 
 def read_tensor(src: str | Path | BinaryIO) -> np.ndarray:
-    """Read a tensor file; raises FormatError (with a byte offset) on damage."""
+    """Read a tensor file, or a seekable stream from its position to its end;
+    raises FormatError (with a byte offset) on damage."""
     if hasattr(src, "read"):
         return _read_tensor_stream(src)
     with open(src, "rb") as f:
@@ -116,13 +119,18 @@ def _read_tensor_stream(f: BinaryIO) -> np.ndarray:
     for d in shape:
         count *= d  # python ints: no overflow for absurd headers
     expected = count * dtype.itemsize
-    payload = f.read()
-    if len(payload) != expected:
+    start = f.tell()
+    got = f.seek(0, SEEK_END) - start  # checked before the array is allocated
+    if got == expected:
+        f.seek(start)
+        out = np.empty(shape, dtype=dtype)
+        got = f.readinto(out.reshape(-1).view(np.uint8))
+    if got != expected:
         raise FormatError(
             f"payload size mismatch: expected {expected} bytes for shape {shape} "
-            f"dtype {dtype}, got {len(payload)} at byte offset {_HEADER.size}"
+            f"dtype {dtype}, got {got} at byte offset {_HEADER.size}"
         )
-    return np.frombuffer(payload, dtype=dtype, count=count).reshape(shape).copy()
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -115,7 +115,8 @@ def project_points(points: np.ndarray, camera: CameraModel) -> tuple[np.ndarray,
     camera, no pixel) or is NaN.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    with np.errstate(divide="ignore", invalid="ignore"):  # non-finite points give NaN
+    # non-finite points give NaN, and a huge finite one an infinite pixel
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cam = pts @ camera.rotation.T + camera.translation
         depth = cam[:, 2]
         u = camera.fx * cam[:, 0] / depth + camera.cx

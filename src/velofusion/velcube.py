@@ -53,6 +53,22 @@ class ContextWindow:
             setattr(self, name, positive_int(name, getattr(self, name)))
 
 
+def _last_axis_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1), exactly, as pairwise maxima of overlapping halves.
+
+    numpy reduces a short contiguous last axis one row at a time; an
+    elementwise maximum of two halves runs over the whole array at once. The
+    halves a[..., :h] and a[..., n - h:n] with h = ceil(n / 2) cover the n
+    bins, so each step keeps the max, for odd n too.
+    """
+    n = a.shape[-1]
+    while n > 1:
+        h = (n + 1) // 2
+        a = np.maximum(a[..., :h], a[..., n - h:n])
+        n = h
+    return a[..., 0]
+
+
 def collapse_doppler(cube: RadarCube, cfg: RadarConfig) -> VelocityCube:
     """Pick the strongest Doppler bin per spatial voxel of the thresholded cube.
 
@@ -67,7 +83,7 @@ def collapse_doppler(cube: RadarCube, cfg: RadarConfig) -> VelocityCube:
     expected = (cfg.n_range_bins, cfg.n_azimuth_bins, cfg.n_elevation_bins, cfg.n_chirps)
     if mag.shape != expected:
         raise ValueError(f"cube shape {mag.shape} does not match config {expected}")
-    strongest = mag.max(axis=-1)
+    strongest = _last_axis_max(mag)
     cut = threshold_cut(float(strongest.max()), cfg.threshold_db)
     valid = (strongest >= cut) & (strongest > 0)
     vels = doppler_bin_velocities(cfg)
@@ -87,7 +103,8 @@ def cartesian_to_polar(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     """
     pts = np.asarray(points, dtype=np.float64)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    rng = np.sqrt(x * x + y * y + z * z)
+    with np.errstate(over="ignore"):  # a huge coordinate is at range inf
+        rng = np.sqrt(x * x + y * y + z * z)
     if np.any(rng == 0.0):
         raise ValueError("zero-range point has no direction")
     az = np.arctan2(y, x)
@@ -100,12 +117,14 @@ def point_bins(points: np.ndarray, cfg: RadarConfig) -> tuple[np.ndarray, np.nda
 
     Returns (bins, inside): bins is (N, 3) int64, inside is False for points
     outside the cube coverage (zero range, a non-finite coordinate, beyond
-    max range or outside the angular FoV), whose bins read 0.
+    max range, a range too large for float64, or outside the angular FoV),
+    whose bins read 0.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     bins = np.zeros((len(pts), 3), dtype=np.int64)
     x, y, z = pts.T
-    idx = np.flatnonzero(np.isfinite(pts).all(axis=1) & (x * x + y * y + z * z > 0))
+    with np.errstate(over="ignore"):  # a huge coordinate is beyond max range
+        idx = np.flatnonzero(np.isfinite(pts).all(axis=1) & (x * x + y * y + z * z > 0))
     rng, az, el = cartesian_to_polar(pts[idx])
     keep = ((rng <= cfg.max_range) & (np.abs(az) <= cfg.azimuth_fov / 2)
             & (np.abs(el) <= cfg.elevation_fov / 2))

@@ -104,6 +104,21 @@ def test_build_matches_direct_dft_on_the_demo_radar(demo_adc):
     assert np.abs(got - want).max() <= 1e-6 * want.max()
 
 
+def test_build_matches_direct_dft_on_the_crowd_radar():
+    """The benchmark's crowd radar: 4 elevation bins and 16 chirps give the
+    per-chirp products other shapes, and so other BLAS kernels, than the demo's."""
+    scene, _, _ = load_scene(SCENES / "demo.json")
+    cfg = RadarConfig(n_samples=64, n_chirps=16, n_azimuth_bins=16, n_elevation_bins=4,
+                      range_resolution=0.075)
+    rng = np.random.default_rng(41)
+    noise = rng.standard_normal((2, 16, 64, 16, 4)).astype(np.float32)
+    for adc in (simulate_adc(scene, 1, cfg), AdcCube(noise[0] + 1j * noise[1])):
+        want = dft_cube_oracle(adc.samples, cfg)
+        got = build_radar_cube(adc, cfg).magnitudes
+        assert got.shape == (64, 16, 4, 16)
+        assert np.abs(got - want).max() <= 1e-6 * want.max()
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(*[st.integers(2, 9)] * 4))
 def test_build_matches_direct_dft_on_small_shapes(seed, shape):

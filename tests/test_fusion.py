@@ -692,6 +692,19 @@ def test_estimate_frame_labels_a_non_finite_point_out_of_radar_fov(axis, bad):
     """A non-finite LiDAR coordinate raises no RuntimeWarning (pyproject makes
     one an error): the point reads OUT_OF_RADAR_FOV with zero velocity, and
     every other point keeps its status and velocity."""
+    _check_point_reads_out_of_radar_fov(axis, bad)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("huge", [1e200, -1e200, 1.7e308])
+def test_estimate_frame_labels_a_huge_point_out_of_radar_fov(axis, huge):
+    """A finite coordinate whose square overflows is beyond any max range: no
+    RuntimeWarning, OUT_OF_RADAR_FOV, every other point unchanged."""
+    _check_point_reads_out_of_radar_fov(axis, huge)
+
+
+def _check_point_reads_out_of_radar_fov(axis: int, bad: float) -> None:
+    """Set one coordinate of the first OK point of tiny.json's frame 1 to bad."""
     scene, cfg, camera = load_scene(SCENES / "tiny.json")
     cloud = synth_lidar(scene, 1)
     vc = collapse_doppler(build_radar_cube(simulate_adc(scene, 1, cfg), cfg), cfg)

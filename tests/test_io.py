@@ -57,6 +57,16 @@ def test_tensor_round_trip_dtypes(dtype, tmp_path):
     assert np.array_equal(got.view(np.uint8), arr.view(np.uint8))
 
 
+def test_tensor_write_serializes_any_layout_little_endian_in_c_order():
+    base = np.arange(24, dtype="<f8").reshape(2, 3, 4)
+    for arr in (base.transpose(2, 0, 1), base[:, ::2], base.astype(">f8"),
+                np.asfortranarray(base)):
+        buf = std_io.BytesIO()
+        write_tensor(buf, arr)
+        assert buf.getvalue()[_HEADER.size:] == np.ascontiguousarray(arr, "<f8").tobytes()
+        assert np.array_equal(_round_trip(arr), arr)
+
+
 def test_tensor_scalar_and_empty():
     assert _round_trip(np.float32(3.5).reshape(())).shape == ()
     empty = _round_trip(np.zeros((0, 3), dtype=np.float64))

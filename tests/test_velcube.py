@@ -9,6 +9,7 @@ from velofusion.cube import RadarCube, RadarConfig, threshold_cube, threshold_cu
 from velofusion.velcube import (
     ContextWindow,
     VelocityCube,
+    _last_axis_max,
     cartesian_to_polar,
     collapse_doppler,
     point_bins,
@@ -82,6 +83,30 @@ def test_collapse_matches_brute_force():
         want_vel, want_valid = brute_collapse(thresholded, SMALL)
         assert np.array_equal(vc.valid, want_valid)
         assert np.array_equal(vc.velocity, want_vel)
+
+
+@pytest.mark.parametrize("n_chirps", range(2, 10))
+def test_collapse_matches_brute_force_for_every_chirp_count(n_chirps):
+    """Odd counts make the halves of the Doppler axis overlap."""
+    cfg = replace(SMALL, n_chirps=n_chirps)
+    rng = np.random.default_rng(n_chirps)
+    for levels in (1, 3, 50):
+        mag = (rng.integers(0, levels + 1, size=_mag(cfg).shape) * 0.5).astype(np.float32)
+        vc = collapse_doppler(RadarCube(mag), cfg)
+        thresholded = threshold_cube(RadarCube(mag), cfg.threshold_db).magnitudes
+        want_vel, want_valid = brute_collapse(thresholded, cfg)
+        assert np.array_equal(vc.valid, want_valid)
+        assert np.array_equal(vc.velocity, want_vel)
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_last_axis_max_is_numpy_max(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((5, 3, n)).astype(np.float32)
+    a[0, 0, rng.integers(n)] = np.float32(7.0)  # one peak at a random bin
+    got = _last_axis_max(a)
+    assert got.shape == (5, 3) and got[0, 0] == 7.0
+    assert np.array_equal(got, a.max(axis=-1))
 
 
 @settings(max_examples=60, deadline=None)
