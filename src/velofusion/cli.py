@@ -5,7 +5,10 @@ import argparse
 import csv
 import sys
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -27,30 +30,76 @@ from .metrics import (
     evaluate_tracks,
     scored_frames,
 )
-from .sim import ground_truth_velocities, simulate_adc, synth_flow, synth_lidar
+from .sim import (
+    ground_truth_velocities,
+    noise_block_count,
+    noise_blocks,
+    simulate_adc,
+    synth_flow,
+    synth_lidar,
+)
 from .types import FramePair
 from .velcube import ContextWindow, collapse_doppler
 
 _CLUSTER_EPS, _CLUSTER_MIN_POINTS = 0.3, 5  # evaluate's and plot-speeds' clustering defaults
 
 
+class _NoiseAhead:
+    """A frame sequence's noise blocks, drawn `depth` blocks ahead on one
+    helper thread: iterating yields them in stream order, and `waited` sums
+    the seconds spent waiting for them. Leaving the `with` block cancels the
+    queued draws and joins the thread, also when a frame raised."""
+
+    def __init__(self, blocks: Iterator[np.ndarray], depth: int):
+        self._blocks = blocks
+        self._pool = ThreadPoolExecutor(1)
+        self._ahead = deque(self._pool.submit(next, blocks, None) for _ in range(depth))
+        self.waited = 0.0
+
+    def __enter__(self) -> "_NoiseAhead":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._pool.shutdown(cancel_futures=True)
+
+    def __iter__(self) -> "_NoiseAhead":
+        return self
+
+    def __next__(self) -> np.ndarray:
+        start = time.perf_counter()
+        block = self._ahead.popleft().result()
+        self.waited += time.perf_counter() - start
+        self._ahead.append(self._pool.submit(next, self._blocks, None))
+        return block
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     scene, radar, camera = load_scene(args.scene)
     if args.seed is not None:
         scene = replace(scene, seed=args.seed)
+    # The seeded noise draw is about half of a frame's time. Drawn one frame
+    # ahead, frame f+1's draw runs beside frame f's render, checks and write,
+    # and no more than a frame's noise waits in memory.
+    stream = chain.from_iterable(noise_blocks(scene, f, radar) for f in range(scene.n_frames))
 
-    def bundles():
+    def bundles(noise: _NoiseAhead):
         for f in range(scene.n_frames):
+            start, waited = time.perf_counter(), noise.waited
             lidar = synth_lidar(scene, f)
-            yield FrameBundle(
+            bundle = FrameBundle(
                 frame_index=f,
                 timestamp=f * scene.frame_interval,
-                adc=simulate_adc(scene, f, radar),
+                adc=simulate_adc(scene, f, radar, noise),
                 lidar=lidar,
                 flow=synth_flow(scene, f - 1, camera) if f >= 1 else None,
                 ground_truth=ground_truth_velocities(scene, lidar),
             )
-    n_frames = write_frame_sequence(args.out, bundles(), radar, camera, scene.frame_interval)
+            print(f"frame {f}: {time.perf_counter() - start:.3f} s, "
+                  f"{noise.waited - waited:.3f} s waiting for noise")
+            yield bundle
+    with _NoiseAhead(stream, noise_block_count(radar)) as noise:
+        n_frames = write_frame_sequence(args.out, bundles(noise), radar, camera,
+                                        scene.frame_interval)
     print(f"simulate: wrote {n_frames} frames to {args.out}")
     return 0
 

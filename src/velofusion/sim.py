@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -40,6 +41,10 @@ logger = logging.getLogger(__name__)
 
 _LIDAR_STREAM = 0
 _NOISE_STREAM = 1
+_NOISE_BLOCK_VALUES = 1 << 17  # float64 values in one noise block, 1 MiB
+# OpenBLAS 0.3.31 runs a matrix product with m * n * k below this on the
+# calling thread and hands larger ones to its worker threads.
+_BLAS_SERIAL_MNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -146,19 +151,70 @@ def _phase_ramps(freqs: np.ndarray, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * freqs[:, None] * np.arange(n))
 
 
-def simulate_adc(scene: SceneConfig, frame_index: int, cfg: RadarConfig) -> AdcCube:
+def _noise_rows(n_cols: int) -> int:
+    """Rows of the (chirp x sample, az x el) ADC matrix in one noise block."""
+    return max(1, _NOISE_BLOCK_VALUES // n_cols)
+
+
+def noise_block_count(cfg: RadarConfig) -> int:
+    """The number of blocks `noise_blocks` yields for a frame with noise."""
+    n_cols = cfg.n_azimuth_bins * cfg.n_elevation_bins
+    return 2 * -(-cfg.n_chirps * cfg.n_samples // _noise_rows(n_cols))
+
+
+def noise_blocks(scene: SceneConfig, frame_index: int, cfg: RadarConfig,
+                 out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The frame's scaled complex ADC noise as float64 blocks of whole rows
+    of the (chirp x sample, az x el) matrix, at most 1 MiB each: every real
+    part, then every imaginary part. Together they are the frame's two
+    whole-tensor draws, bit for bit. Yields nothing when the scene has no
+    noise.
+
+    Each block is a new array, unless `out` (float64, one block's shape) is
+    given: then every block is drawn into it and holds only until the next
+    block is drawn.
+    """
+    _check_frame_index(scene, frame_index)
+    if not scene.noise_floor > 0:
+        return
+    rng = np.random.default_rng([scene.seed, frame_index, _NOISE_STREAM])
+    scale = scene.noise_floor / np.sqrt(2.0)
+    n_rows, n_cols = cfg.n_chirps * cfg.n_samples, cfg.n_azimuth_bins * cfg.n_elevation_bins
+    step = _noise_rows(n_cols)
+    for _ in ("real", "imag"):
+        for lo in range(0, n_rows, step):
+            rows = min(step, n_rows - lo)
+            block = (rng.standard_normal((rows, n_cols)) if out is None
+                     else rng.standard_normal(out=out[:rows]))
+            block *= scale
+            yield block
+
+
+def simulate_adc(scene: SceneConfig, frame_index: int, cfg: RadarConfig,
+                 noise: Iterator[np.ndarray] | None = None) -> AdcCube:
     """Raw ADC tensor (chirp, sample, az antenna, el antenna) for one frame.
 
-    The scatterers' separable ramps are summed as one complex128 matrix
-    product, (chirp x sample, K) @ (K, az x el) with the amplitudes in the
-    right factor. It runs in blocks of scatterers whose two factors take at
-    most a quarter of the accumulator's memory. The first block is written
-    one chirp's rows per call, which keeps small scenes' products under
-    OpenBLAS's threading size (its worker thread spins on after every threaded
-    call). Each block after the first is added in slices of output rows, so
-    no tensor-sized temporary grows with the number of scatterers K.
-    The complex Gaussian noise draws the real part first, then the
-    imaginary part.
+    The scatterers' separable ramps are summed as complex128 matrix
+    products, (chirp x sample, K) @ (K, az x el) with the amplitudes in the
+    right factor. Scatterers go in blocks of at most
+    rows x cols / (4 (rows + cols)), the blocks of the whole-tensor render,
+    each added to the ones before, so every sum keeps its grouping. The
+    tensor is rendered in blocks of the noise's rows, and every product in
+    slices of m rows with m x K x (az x el) < 65,536 (one row where
+    K x (az x el) alone reaches it): below that size OpenBLAS 0.3.31 runs a
+    call on the calling thread. On the demo radar that is 85 rows; 86 would
+    wake the worker thread, which then spins on after every call. The left
+    factor is formed per slice, so memory does not grow with K. Each slice's
+    product goes to one small buffer, and its real and imaginary parts are
+    summed in float64, which is the complex sum's own arithmetic.
+
+    The complex Gaussian noise is added in float64 before the cast to
+    complex64: the real parts of every block, then the imaginary parts.
+    `noise` yields the frame's `noise_blocks`; when it is not given they are
+    drawn here, inline, into one reused block. Only the render's imaginary
+    part waits for the second pass, in a float64 scratch of the tensor's
+    size, so a noisy frame's working set is the complex64 output, that
+    scratch, one block of real parts, the noise blocks and one slice.
     """
     _check_frame_index(scene, frame_index)
     n_c, n_s, n_a, n_e = shape = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins,
@@ -172,33 +228,51 @@ def simulate_adc(scene: SceneConfig, frame_index: int, cfg: RadarConfig) -> AdcC
     f_el = el / cfg.elevation_fov
 
     n_rows, n_cols = n_c * n_s, n_a * n_e
-    acc = np.zeros((n_rows, n_cols), dtype=np.complex128)
-    block = max(1, acc.size // (4 * (n_rows + n_cols)))
-    rows = max(1, n_rows // 8)
-    for lo in range(0, len(amplitudes), block):
-        part = slice(lo, lo + block)
-        left = (_phase_ramps(f_dop[part], n_c)[:, :, None]
-                * _phase_ramps(f_rng[part], n_s)[:, None, :]).reshape(-1, n_rows)
-        right = ((amplitudes[part, None] * _phase_ramps(f_az[part], n_a))[:, :, None]
-                 * _phase_ramps(f_el[part], n_e)[:, None, :]).reshape(-1, n_cols)
-        if lo == 0:
-            np.matmul(left.T.reshape(n_c, n_s, -1), right, out=acc.reshape(n_c, n_s, n_cols))
-            continue
-        for r in range(0, n_rows, rows):
-            acc[r:r + rows] += left[:, r:r + rows].T @ right
-    acc = acc.reshape(shape)
-
-    if scene.noise_floor > 0:
-        rng = np.random.default_rng([scene.seed, frame_index, _NOISE_STREAM])
-        scale = scene.noise_floor / np.sqrt(2.0)
-        noise = rng.standard_normal(shape)
-        noise *= scale
-        acc.real += noise
-        rng.standard_normal(out=noise)
-        noise *= scale
-        acc.imag += noise
-
-    return AdcCube(acc.astype(np.complex64))
+    k_block = max(1, n_rows * n_cols // (4 * (n_rows + n_cols)))
+    step = min(_noise_rows(n_cols), n_rows)
+    k_max = max(1, min(len(amplitudes), k_block))  # scatterers in the largest block
+    m = min(max(1, (_BLAS_SERIAL_MNK - 1) // (k_max * n_cols)), n_rows)
+    noisy = scene.noise_floor > 0
+    if noisy and noise is None:
+        noise = noise_blocks(scene, frame_index, cfg, out=np.empty((step, n_cols)))
+    out = np.empty((n_rows, n_cols), dtype=np.complex64)
+    scratch = np.empty if len(amplitudes) else np.zeros  # no scatterer renders zeros
+    real, imag = scratch((step, n_cols)), scratch((n_rows, n_cols))
+    prod = np.empty((m, n_cols), dtype=np.complex128)
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        for k in range(0, len(amplitudes), k_block):
+            part = slice(k, k + k_block)
+            chirp_ramps = _phase_ramps(f_dop[part], n_c)
+            sample_ramps = _phase_ramps(f_rng[part], n_s)
+            right = ((amplitudes[part, None] * _phase_ramps(f_az[part], n_a))[:, :, None]
+                     * _phase_ramps(f_el[part], n_e)[:, None, :]).reshape(-1, n_cols)
+            for r in range(lo, hi, m):
+                e = min(r + m, hi)
+                c_lo, c_hi = r // n_s, -(-e // n_s)  # the chirps that rows r..e-1 fall in
+                left = (chirp_ramps[:, c_lo:c_hi, None]
+                        * sample_ramps[:, None, :]).reshape(len(chirp_ramps), -1)
+                p = np.matmul(left[:, r - c_lo * n_s:e - c_lo * n_s].T, right, out=prod[:e - r])
+                if k == 0:
+                    real[r - lo:e - lo] = p.real
+                    imag[r:e] = p.imag
+                else:
+                    real[r - lo:e - lo] += p.real
+                    imag[r:e] += p.imag
+        if noisy:
+            block = next(noise)
+            block += real[:hi - lo]
+            out.real[lo:hi] = block
+        else:
+            out.real[lo:hi] = real[:hi - lo]
+    if noisy:
+        for lo in range(0, n_rows, step):
+            block = next(noise)
+            block += imag[lo:lo + step]
+            out.imag[lo:lo + step] = block
+    else:
+        out.imag[:] = imag
+    return AdcCube(out.reshape(shape))
 
 
 def synth_lidar(scene: SceneConfig, frame_index: int) -> PointCloud:

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from velofusion import sim
 from velofusion.cube import RadarConfig
 from velofusion.metrics import ASSOCIATION_GATE, ObjectTrack, TrackFrame, cluster_points
 from velofusion.sim import SceneConfig
@@ -317,6 +318,54 @@ def oracle_simulate_adc(scene, frame_index: int, cfg: RadarConfig) -> np.ndarray
         rng = np.random.default_rng([scene.seed, frame_index, 1])
         scale = scene.noise_floor / np.sqrt(2.0)
         acc += scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return acc.astype(np.complex64)
+
+
+def whole_tensor_simulate_adc(scene, frame_index: int, cfg: RadarConfig) -> np.ndarray:
+    """The whole-tensor ADC render that the row-block render must equal bit for
+    bit. It reuses the package's frame check, scatterer geometry and phase
+    ramps, and has the same scatterer blocks: a complex128 accumulator of
+    the whole tensor, the first block's product written one chirp per call,
+    each later block's product added in eighths of the rows, then the two
+    whole-tensor noise draws (real parts, then imaginary parts) and one cast
+    to complex64.
+    """
+    sim._check_frame_index(scene, frame_index)
+    n_c, n_s, n_a, n_e = shape = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins,
+                                  cfg.n_elevation_bins)
+    positions, velocities = sim._scatterer_arrays(scene, frame_index)
+    rng_m, az, el, v_radial = sim._radar_geometry(positions, velocities, cfg, frame_index)
+    amplitudes = np.array([s.amplitude for s in scene.scatterers], dtype=np.float64)
+    f_rng = rng_m / (cfg.range_resolution * cfg.n_samples)
+    f_dop = v_radial / (cfg.speed_resolution * cfg.n_chirps)
+    f_az = az / cfg.azimuth_fov
+    f_el = el / cfg.elevation_fov
+
+    n_rows, n_cols = n_c * n_s, n_a * n_e
+    acc = np.zeros((n_rows, n_cols), dtype=np.complex128)
+    block = max(1, acc.size // (4 * (n_rows + n_cols)))
+    rows = max(1, n_rows // 8)
+    for lo in range(0, len(amplitudes), block):
+        part = slice(lo, lo + block)
+        left = (sim._phase_ramps(f_dop[part], n_c)[:, :, None]
+                * sim._phase_ramps(f_rng[part], n_s)[:, None, :]).reshape(-1, n_rows)
+        right = ((amplitudes[part, None] * sim._phase_ramps(f_az[part], n_a))[:, :, None]
+                 * sim._phase_ramps(f_el[part], n_e)[:, None, :]).reshape(-1, n_cols)
+        if lo == 0:
+            np.matmul(left.T.reshape(n_c, n_s, -1), right, out=acc.reshape(n_c, n_s, n_cols))
+            continue
+        for r in range(0, n_rows, rows):
+            acc[r:r + rows] += left[:, r:r + rows].T @ right
+    acc = acc.reshape(shape)
+    if scene.noise_floor > 0:
+        rng = np.random.default_rng([scene.seed, frame_index, 1])
+        scale = scene.noise_floor / np.sqrt(2.0)
+        noise = rng.standard_normal(shape)
+        noise *= scale
+        acc.real += noise
+        rng.standard_normal(out=noise)
+        noise *= scale
+        acc.imag += noise
     return acc.astype(np.complex64)
 
 

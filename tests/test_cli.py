@@ -3,7 +3,9 @@ import json
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,16 @@ import pytest
 from velofusion.cli import build_parser, main
 from velofusion.cube import build_radar_cube, threshold_cube
 from velofusion.fusion import estimate_frame
-from velofusion.io import read_frame_sequence, read_tensor, read_velocity_sequence, write_tensor
+from velofusion.io import (
+    FrameBundle,
+    load_scene,
+    read_frame_sequence,
+    read_tensor,
+    read_velocity_sequence,
+    write_frame_sequence,
+    write_tensor,
+)
+from velofusion.sim import ground_truth_velocities, simulate_adc, synth_flow, synth_lidar
 from velofusion.types import FramePair
 from velofusion.velcube import ContextWindow, collapse_doppler
 
@@ -441,21 +452,52 @@ def test_simulate_seed_override_changes_data(tmp_path):
 
 @pytest.mark.parametrize("existing", [False, True], ids=["empty-out", "over-a-sequence"])
 def test_failed_simulate_leaves_no_manifest(pipeline_dirs, tmp_path, capsys, existing):
-    """A scatterer that leaves the radar's field of view at frame 2 fails the
-    run after frames 0 and 1 are written; no manifest marks the directory as
-    a sequence, also where an older sequence's manifest was."""
+    """A scatterer that leaves the radar's field of view at frame 3 fails the
+    run after frames 0 to 2 are written, while later frames' noise is being
+    drawn ahead; no manifest marks the directory as a sequence, also where an
+    older sequence's manifest was, and the noise thread has ended."""
     out = tmp_path / "frames"
     if existing:
         shutil.copytree(pipeline_dirs[0], out)
     scene = json.loads((SCENES / "tiny.json").read_text())
-    scene["scatterers"][0].update(position=[2.0, 1.2, 0.0], velocity=[0.0, 0.3, 0.0])
+    scene["n_frames"] = 8
+    scene["scatterers"][0].update(position=[2.0, 1.17, 0.0], velocity=[0.0, 0.3, 0.0])
     (tmp_path / "scene.json").write_text(json.dumps(scene))
     capsys.readouterr()
+    threads = threading.active_count()
     assert main(["simulate", "--scene", str(tmp_path / "scene.json"), "--out", str(out)]) == 1
+    assert threading.active_count() == threads
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "outside the radar field of view" in err and "at frame 2" in err
+    assert "outside the radar field of view" in err and "at frame 3" in err
     assert not (out / "manifest.json").exists()
+    assert (out / "frame_000002").is_dir()
+
+
+def test_simulate_writes_the_in_process_frames(pipeline_dirs, tmp_path, capsys):
+    """The noise drawn ahead on a helper thread gives the tree that frames
+    rendered in-process, noise drawn inline, give; stdout names each frame
+    with its seconds and its wait for noise, and no other thread outlives
+    the command."""
+    scene, radar, camera = load_scene(SCENES / "tiny.json")
+    scene = replace(scene, seed=11)
+    lidar = [synth_lidar(scene, f) for f in range(scene.n_frames)]
+    write_frame_sequence(tmp_path / "frames", (
+        FrameBundle(f, f * scene.frame_interval, adc=simulate_adc(scene, f, radar),
+                    lidar=lidar[f], flow=synth_flow(scene, f - 1, camera) if f else None,
+                    ground_truth=ground_truth_velocities(scene, lidar[f]))
+        for f in range(scene.n_frames)), radar, camera, scene.frame_interval)
+    assert _tree(tmp_path / "frames") == _tree(pipeline_dirs[0])
+
+    capsys.readouterr()
+    threads = threading.active_count()
+    assert main(["simulate", "--scene", str(SCENES / "tiny.json"),
+                 "--out", str(tmp_path / "again"), "--seed", "11"]) == 0
+    assert threading.active_count() == threads
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == ["frame 0", "frame 1", "frame 2"]
+    assert all(line.endswith(" s waiting for noise") for line in lines[:-1])
+    assert _tree(tmp_path / "again") == _tree(pipeline_dirs[0])
 
 
 def test_failed_process_over_a_sequence_leaves_no_manifest(pipeline_dirs, tmp_path, capsys):

@@ -1,5 +1,8 @@
 import logging
 import math
+import os
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -16,6 +19,8 @@ from velofusion.sim import (
     Scatterer,
     SceneConfig,
     ground_truth_velocities,
+    noise_block_count,
+    noise_blocks,
     simulate_adc,
     synth_flow,
     synth_lidar,
@@ -29,6 +34,7 @@ from helpers import (
     oracle_synth_flow,
     oracle_synth_lidar,
     random_rotation,
+    whole_tensor_simulate_adc,
 )
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -191,15 +197,24 @@ def _random_scene(seed, n, cfg, noise_floor=0.0):
         for _ in range(n)), noise_floor=noise_floor, seed=seed)
 
 
+# 8192 x 24 ADC rows: 5,461-row noise blocks that end inside a chirp, and
+# 12 scatterers in blocks of 5
+RAGGED_RADAR = RadarConfig(n_samples=64, n_chirps=128, n_azimuth_bins=6, n_elevation_bins=4,
+                           range_resolution=0.1, speed_resolution=0.005)
+
+
 def _adc_case(name, noise_floor):
-    if name == "demo":
+    if name in ("demo", "empty"):
         scene, cfg, _ = load_scene(SCENES / "demo.json")
-        return replace(scene, n_frames=3, noise_floor=noise_floor), cfg
+        scene = replace(scene, n_frames=3, noise_floor=noise_floor)
+        return (scene if name == "demo" else replace(scene, scatterers=())), cfg
     if name == "tiny":
         scene, cfg, _ = load_scene(SCENES / "tiny.json")
         return replace(scene, noise_floor=noise_floor), cfg
     if name == "crowd":
         return _crowd_scene(noise_floor), CROWD_RADAR
+    if name == "ragged":
+        return _random_scene(9, 12, RAGGED_RADAR, noise_floor), RAGGED_RADAR
     # 300 scatterers on SMALL: 50 blocks of 6, so the blocked sum runs
     return _random_scene(4, 300, SMALL, noise_floor), SMALL
 
@@ -211,6 +226,61 @@ def test_simulate_adc_matches_per_scatterer_oracle(name, noise_floor):
     for f in range(scene.n_frames):
         assert_adc_close(simulate_adc(scene, f, cfg).samples,
                          oracle_simulate_adc(scene, f, cfg), scene)
+
+
+@pytest.mark.parametrize("noise_floor", [0.0, 0.1])
+@pytest.mark.parametrize("name", ["demo", "tiny", "crowd", "many", "empty", "ragged"])
+def test_simulate_adc_is_the_whole_tensor_render_bit_for_bit(name, noise_floor):
+    """Row blocks, noise blocks and BLAS row slices change no bit of the ADC,
+    whether the noise is drawn inline or handed in as the frame's blocks."""
+    scene, cfg = _adc_case(name, noise_floor)
+    for f in range(scene.n_frames):
+        want = whole_tensor_simulate_adc(scene, f, cfg).view(np.float32)
+        assert np.array_equal(simulate_adc(scene, f, cfg).samples.view(np.float32), want)
+        handed = simulate_adc(scene, f, cfg, noise_blocks(scene, f, cfg)).samples
+        assert np.array_equal(handed.view(np.float32), want)
+
+
+@pytest.mark.parametrize("name", ["demo", "tiny", "ragged", "empty"])
+def test_noise_blocks_count_and_size(name):
+    scene, cfg = _adc_case(name, 0.1)
+    blocks = list(noise_blocks(scene, 1, cfg))
+    assert len(blocks) == noise_block_count(cfg)
+    assert all(b.dtype == np.float64 and b.nbytes <= 1 << 20 for b in blocks)
+    assert sum(b.size for b in blocks) == 2 * math.prod(simulate_adc(scene, 1, cfg).samples.shape)
+    assert not list(noise_blocks(replace(scene, noise_floor=0.0), 1, cfg))
+
+
+def _thread_cpu_s() -> tuple[float, float]:
+    """CPU seconds of this thread and of every other thread of the process."""
+    tick, own, others = os.sysconf("SC_CLK_TCK"), 0, 0
+    for task in Path("/proc/self/task").iterdir():
+        try:
+            fields = (task / "stat").read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # the thread ended
+        ticks = int(fields[11]) + int(fields[12])  # utime + stime
+        if int(task.name) == threading.get_native_id():
+            own += ticks
+        else:
+            others += ticks
+    return own / tick, others / tick
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads Linux per-thread CPU")
+def test_simulate_adc_keeps_blas_on_the_calling_thread():
+    """Every product of the render stays under OpenBLAS's threading size, so
+    its worker threads stay idle while demo frames render. A worker woken
+    even once per chirp spins for about as long as the render runs."""
+    scene, cfg = _adc_case("demo", 0.1)
+    simulate_adc(scene, 0, cfg)
+    time.sleep(0.5)  # a worker woken by an earlier test stops spinning
+    own, others = _thread_cpu_s()
+    for _ in range(3):
+        for f in range(3):
+            simulate_adc(scene, f, cfg)
+    own_after, others_after = _thread_cpu_s()
+    assert others_after - others < 0.05 * (own_after - own)
 
 
 def test_assert_adc_close_separates_an_ulp_from_a_wrong_sample():
