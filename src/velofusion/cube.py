@@ -13,6 +13,11 @@ each over the whole chirp, and the Doppler product as one call over the whole
 cube: 3 n_chirps + 1 calls per frame (97 on the default radar), however many
 samples and antennas there are. On the default radar every one of them is
 wide enough for OpenBLAS to run it on its worker threads.
+
+The magnitude is one contiguous abs of the Doppler product, in that product's
+own memory order (doppler, range, elevation, azimuth); the cube is a
+transposed view of it, so the Doppler axis is outermost in memory and a
+reduce over it runs over whole (range, azimuth, elevation) slices.
 """
 from __future__ import annotations
 
@@ -94,12 +99,18 @@ class AdcCube:
 
 @dataclass
 class RadarCube:
-    """Magnitude spectrum indexed (range, azimuth, elevation, doppler)."""
+    """Magnitude spectrum indexed (range, azimuth, elevation, doppler).
+
+    The array is kept as given, in whatever memory order: build_radar_cube's
+    is a transposed view with the Doppler axis outermost, which
+    threshold_cube keeps. Any order holds the same values and collapses to the
+    same bits; the Doppler-major one collapses fastest.
+    """
 
     magnitudes: np.ndarray  # float32, finite, non-negative
 
     def __post_init__(self) -> None:
-        self.magnitudes = np.ascontiguousarray(self.magnitudes, dtype=np.float32)
+        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float32)
         if self.magnitudes.ndim != 4:
             raise ValueError(f"cube must have 4 axes, got shape {self.magnitudes.shape}")
         if not np.isfinite(self.magnitudes).all():
@@ -129,8 +140,9 @@ def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
     Sample and chirp axes are Hanning-windowed; the angle axes are not.
     Doppler and angle axes are center-shifted so zero velocity / boresight
     land at bin n // 2. The products alternate between two complex buffers the
-    size of the ADC tensor, and the magnitudes are written straight into the
-    output layout.
+    size of the ADC tensor. The magnitudes are written contiguously in the
+    Doppler product's order, (doppler, range, elevation, azimuth), and the
+    cube indexes them through a transposed view of that buffer.
     """
     expected = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins, cfg.n_elevation_bins)
     if adc.samples.shape != expected:
@@ -157,9 +169,9 @@ def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
               out=q.reshape(n_c, -1, n_a))                                          # (C, R, E, A)
     np.matmul(_dft_matrix(n_c, True, True), q.reshape(n_c, -1), out=p.reshape(n_c, -1))
     del q
-    mag = np.empty((n_s, n_a, n_e, n_c), dtype=np.float32)
-    np.abs(p.reshape(n_c, n_s, n_e, n_a).transpose(1, 3, 2, 0), out=mag)            # (R, A, E, C)
-    return RadarCube(mag)
+    mag = np.empty((n_c, n_s, n_e, n_a), dtype=np.float32)
+    np.abs(p.reshape(mag.shape), out=mag)                                           # (C, R, E, A)
+    return RadarCube(mag.transpose(1, 3, 2, 0))                                     # (R, A, E, C)
 
 
 def threshold_cut(peak: float, threshold_db: float) -> float:
@@ -179,7 +191,8 @@ def threshold_cube(cube: RadarCube, threshold_db: float) -> RadarCube:
 
     The cut is in amplitude decibels: a voxel survives iff
     20 * log10(peak / value) <= threshold_db. An all-zero cube passes through
-    unchanged and the operation is idempotent.
+    unchanged and the operation is idempotent. The result keeps the input's
+    memory order.
     """
     mag = cube.magnitudes
     peak = float(mag.max()) if mag.size else 0.0

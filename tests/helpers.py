@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from velofusion import sim
-from velofusion.cube import RadarConfig
+from velofusion.cube import AdcCube, RadarConfig, _dft_matrix
 from velofusion.metrics import ASSOCIATION_GATE, ObjectTrack, TrackFrame, cluster_points
 from velofusion.sim import SceneConfig
 from velofusion.types import FlowField, PointCloud, PointStatus, project_points
@@ -46,6 +46,31 @@ def dft_cube_oracle(samples: np.ndarray, cfg: RadarConfig) -> np.ndarray:
     x = np.tensordot(dft_matrix(cfg.n_elevation_bins), x, axes=([1], [3]))  # -> (el, az, doppler, range)
     x = center_shift(x, 0)
     return np.abs(x).transpose(3, 1, 0, 2)  # -> (range, az, el, doppler)
+
+
+def transposing_radar_cube(adc: AdcCube, cfg: RadarConfig) -> np.ndarray:
+    """build_radar_cube's products with the magnitude written C-ordered
+    (range, azimuth, elevation, doppler) by one transposing abs.
+
+    The products reuse the package's _dft_matrix and run in the package's
+    order on the same buffers, so every magnitude must equal the package's
+    bit for bit, whatever memory order the package writes it in.
+    """
+    n_c, n_s, n_a, n_e = adc.samples.shape
+    q = np.empty(adc.samples.shape, dtype=np.complex64)
+    p = np.empty(adc.samples.shape, dtype=np.complex64)
+    np.matmul(_dft_matrix(n_s, True, False), adc.samples.reshape(n_c, n_s, -1),
+              out=p.reshape(n_c, n_s, -1))
+    np.matmul(p.reshape(n_c, -1, n_e), _dft_matrix(n_e, False, True).T,
+              out=q.reshape(n_c, -1, n_e))
+    np.copyto(p.reshape(n_c, n_s, n_e, n_a),
+              q.reshape(n_c, n_s, n_a, n_e).transpose(0, 1, 3, 2))
+    np.matmul(p.reshape(n_c, -1, n_a), _dft_matrix(n_a, False, True).T,
+              out=q.reshape(n_c, -1, n_a))
+    np.matmul(_dft_matrix(n_c, True, True), q.reshape(n_c, -1), out=p.reshape(n_c, -1))
+    mag = np.empty((n_s, n_a, n_e, n_c), dtype=np.float32)
+    np.abs(p.reshape(n_c, n_s, n_e, n_a).transpose(1, 3, 2, 0), out=mag)
+    return mag
 
 
 def bin_to_physical(

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -167,10 +168,20 @@ def test_manifest_with_one_sided_range_fails_cleanly(pipeline_dirs, tmp_path, ca
 
 
 def test_process_prints_per_frame_timing(pipeline_dirs, capsys, tmp_path):
+    """Each processed frame prints its seconds, split into the radar cube, the
+    Doppler collapse and the estimate."""
     frames, _, _ = pipeline_dirs
-    main(["process", "--in", str(frames), "--out", str(tmp_path / "vel2")])
-    out = capsys.readouterr().out
-    assert "frame 1:" in out and " ok, " in out and " s" in out
+    capsys.readouterr()
+    assert main(["process", "--in", str(frames), "--out", str(tmp_path / "vel2")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == ["frame 1", "frame 2"]
+    num = r"(\d+\.\d{3})"
+    for line in lines[:-1]:
+        m = re.fullmatch(rf"frame \d+: \d+ points, \d+ ok, {num} s: cube {num} s, "
+                         rf"collapse {num} s, estimate {num} s", line)
+        assert m, line
+        total, *parts = map(float, m.groups())
+        assert sum(parts) == pytest.approx(total, abs=0.003)
 
 
 def test_evaluate_report(pipeline_dirs):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from velofusion.cube import (
 from velofusion.io import load_scene
 from velofusion.sim import Scatterer, SceneConfig, simulate_adc
 
-from helpers import bin_to_physical, center_shift, dft_cube_oracle
+from helpers import bin_to_physical, center_shift, dft_cube_oracle, transposing_radar_cube
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -28,6 +29,10 @@ SMALL = RadarConfig(
     n_azimuth_bins=8,
     n_elevation_bins=4,
 )
+# The benchmark's crowd radar: 4 elevation bins and 16 chirps give the per-chirp
+# products other shapes, and so other BLAS kernels, than the demo's.
+CROWD_RADAR = RadarConfig(n_samples=64, n_chirps=16, n_azimuth_bins=16, n_elevation_bins=4,
+                          range_resolution=0.075)
 
 
 def test_config_derived_quantities():
@@ -56,6 +61,18 @@ def test_radar_cube_rejects_non_finite_magnitudes(bad):
     mag[1, 0, 1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         RadarCube(mag)
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (-1.0, "non-negative")])
+def test_radar_cube_keeps_a_transposed_view_and_checks_it(bad, message):
+    """build_radar_cube's layout: a (doppler, range, elevation, azimuth) buffer
+    seen as (range, azimuth, elevation, doppler) is kept, not copied."""
+    buf = np.ones((4, 3, 2, 5), dtype=np.float32)
+    view = buf.transpose(1, 3, 2, 0)
+    assert np.shares_memory(RadarCube(view).magnitudes, buf)
+    buf[2, 1, 0, 3] = bad
+    with pytest.raises(ValueError, match=message):
+        RadarCube(view)
 
 
 def test_config_validation():
@@ -105,11 +122,8 @@ def test_build_matches_direct_dft_on_the_demo_radar(demo_adc):
 
 
 def test_build_matches_direct_dft_on_the_crowd_radar():
-    """The benchmark's crowd radar: 4 elevation bins and 16 chirps give the
-    per-chirp products other shapes, and so other BLAS kernels, than the demo's."""
     scene, _, _ = load_scene(SCENES / "demo.json")
-    cfg = RadarConfig(n_samples=64, n_chirps=16, n_azimuth_bins=16, n_elevation_bins=4,
-                      range_resolution=0.075)
+    cfg = CROWD_RADAR
     rng = np.random.default_rng(41)
     noise = rng.standard_normal((2, 16, 64, 16, 4)).astype(np.float32)
     for adc in (simulate_adc(scene, 1, cfg), AdcCube(noise[0] + 1j * noise[1])):
@@ -117,6 +131,42 @@ def test_build_matches_direct_dft_on_the_crowd_radar():
         got = build_radar_cube(adc, cfg).magnitudes
         assert got.shape == (64, 16, 4, 16)
         assert np.abs(got - want).max() <= 1e-6 * want.max()
+
+
+def _noise_adc(cfg, seed):
+    shape = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins, cfg.n_elevation_bins)
+    rng = np.random.default_rng(seed)
+    return AdcCube((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                   .astype(np.complex64))
+
+
+def _adc_frames(name):
+    """A few ADC frames on each radar shape the package runs, with noise."""
+    if name == "demo":
+        scene, cfg, _ = load_scene(SCENES / "demo.json")
+        return [simulate_adc(scene, f, cfg) for f in range(3)], cfg
+    if name == "tiny":
+        scene, cfg, _ = load_scene(SCENES / "tiny.json")
+        return [simulate_adc(scene, f, cfg) for f in range(scene.n_frames)], cfg
+    if name == "crowd":
+        scene, _, _ = load_scene(SCENES / "demo.json")
+        return [simulate_adc(scene, 1, CROWD_RADAR), _noise_adc(CROWD_RADAR, 3)], CROWD_RADAR
+    cfg = SMALL if name == "small" else replace(SMALL, n_chirps=7, n_samples=9,
+                                                n_azimuth_bins=5, n_elevation_bins=3)
+    return [_noise_adc(cfg, seed) for seed in range(3)], cfg
+
+
+@pytest.mark.parametrize("name", ["demo", "tiny", "crowd", "small", "odd_chirps"])
+def test_build_is_the_transposing_build_bit_for_bit(name):
+    """The magnitude written in the Doppler product's own memory order holds
+    the values a transposing abs wrote, and the Doppler axis, outermost in
+    memory, stays so through threshold_cube."""
+    adcs, cfg = _adc_frames(name)
+    for adc in adcs:
+        cube = build_radar_cube(adc, cfg)
+        assert np.array_equal(cube.magnitudes, transposing_radar_cube(adc, cfg))
+        for mag in (cube.magnitudes, threshold_cube(cube, cfg.threshold_db).magnitudes):
+            assert mag.strides[-1] == max(mag.strides)
 
 
 @settings(max_examples=80, deadline=None)

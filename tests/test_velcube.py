@@ -9,7 +9,6 @@ from velofusion.cube import RadarCube, RadarConfig, threshold_cube, threshold_cu
 from velofusion.velcube import (
     ContextWindow,
     VelocityCube,
-    _last_axis_max,
     cartesian_to_polar,
     collapse_doppler,
     point_bins,
@@ -99,14 +98,29 @@ def test_collapse_matches_brute_force_for_every_chirp_count(n_chirps):
         assert np.array_equal(vc.velocity, want_vel)
 
 
-@pytest.mark.parametrize("n", range(1, 34))
-def test_last_axis_max_is_numpy_max(n):
-    rng = np.random.default_rng(n)
-    a = rng.standard_normal((5, 3, n)).astype(np.float32)
-    a[0, 0, rng.integers(n)] = np.float32(7.0)  # one peak at a random bin
-    got = _last_axis_max(a)
-    assert got.shape == (5, 3) and got[0, 0] == 7.0
-    assert np.array_equal(got, a.max(axis=-1))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_chirps=st.integers(2, 33), levels=st.integers(1, 6))
+def test_collapse_is_the_same_in_every_memory_order(seed, n_chirps, levels):
+    """C order, build_radar_cube's Doppler-major order and a random axis order
+    of one set of tied, quantized magnitudes collapse to the same bits."""
+    cfg = replace(SMALL, n_chirps=n_chirps)
+    rng = np.random.default_rng(seed)
+    mag = (rng.integers(0, levels + 1, size=_mag(cfg).shape) * 0.5).astype(np.float32)
+    perm = rng.permutation(4)
+    layouts = [
+        mag,
+        np.ascontiguousarray(mag.transpose(3, 0, 2, 1)).transpose(1, 3, 2, 0),
+        np.ascontiguousarray(mag.transpose(perm)).transpose(np.argsort(perm)),
+    ]
+    want_vel, want_valid = brute_collapse(
+        threshold_cube(RadarCube(mag), cfg.threshold_db).magnitudes, cfg)
+    for m in layouts:
+        assert np.array_equal(m, mag)
+        cube = RadarCube(m)
+        assert np.shares_memory(cube.magnitudes, m)
+        vc = collapse_doppler(cube, cfg)
+        assert np.array_equal(vc.valid, want_valid)
+        assert vc.velocity.tobytes() == want_vel.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
