@@ -98,6 +98,32 @@ def test_collapse_matches_brute_force_for_every_chirp_count(n_chirps):
         assert np.array_equal(vc.velocity, want_vel)
 
 
+@pytest.mark.parametrize("n", range(1, 34))
+def test_last_axis_max_is_numpy_max(n):
+    """collapse_doppler's strongest bin, mag.max(axis=-1) over the Doppler-major
+    view that build_radar_cube returns, is the C-ordered max bit for bit, and
+    from two chirps on the collapse finds a peak at any Doppler bin."""
+    rng = np.random.default_rng(n)
+    a = np.abs(rng.standard_normal((5, 3, 2, n))).astype(np.float32)
+    peak = int(rng.integers(n))
+    a[0, 0, 0, peak] = np.float32(7.0)  # one peak at a random bin
+    view = np.ascontiguousarray(a.transpose(3, 0, 2, 1)).transpose(1, 3, 2, 0)
+    cube = RadarCube(view)
+    assert np.shares_memory(cube.magnitudes, view)
+    got = cube.magnitudes.max(axis=-1)
+    assert got.shape == (5, 3, 2) and got[0, 0, 0] == 7.0
+    assert np.array_equal(got, a.max(axis=-1))
+    if n < 2:  # RadarConfig needs two chirps
+        return
+    cfg = RadarConfig(n_samples=5, n_chirps=n, n_azimuth_bins=3, n_elevation_bins=2)
+    vc = collapse_doppler(cube, cfg)
+    assert vc.valid[0, 0, 0]
+    assert vc.velocity[0, 0, 0] == (peak - n // 2) * cfg.speed_resolution
+    want_vel, want_valid = brute_collapse(threshold_cube(RadarCube(a), cfg.threshold_db).magnitudes, cfg)
+    assert np.array_equal(vc.valid, want_valid)
+    assert vc.velocity.tobytes() == want_vel.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_chirps=st.integers(2, 33), levels=st.integers(1, 6))
 def test_collapse_is_the_same_in_every_memory_order(seed, n_chirps, levels):
