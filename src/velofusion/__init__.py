@@ -17,7 +17,7 @@ from .cube import (
     threshold_cube,
 )
 from .fusion import (
-    DEFAULT_COND_BOUND,
+    COND_BOUND,
     estimate_frame,
     read_flow,
     solve_velocities,

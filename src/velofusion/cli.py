@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .cube import build_radar_cube
-from .fusion import DEFAULT_COND_BOUND, check_cond_bound, estimate_frame
+from .fusion import estimate_frame
 from .io import (
     FrameBundle,
     load_scene,
@@ -107,7 +107,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_process(args: argparse.Namespace) -> int:
     # The flags and the output directory are checked before any frame is read.
     window = ContextWindow(args.window_az, args.window_el, args.window_range)
-    check_cond_bound(args.cond_bound)
     out = Path(args.out)
     if out.exists() and Path(args.in_dir).exists() and out.samefile(args.in_dir):
         # writing would delete the input's frames before they are read
@@ -128,8 +127,7 @@ def cmd_process(args: argparse.Namespace) -> int:
                 del cube  # not held through the estimate (4 MB on the demo radar)
                 collapsed = time.perf_counter()
                 estimate = estimate_frame(bundle.lidar, vc, bundle.flow, camera,
-                                          FramePair(bundle.flow.dt), window,
-                                          cond_bound=args.cond_bound)
+                                          FramePair(bundle.flow.dt), window)
                 end = time.perf_counter()
                 n_ok = int(np.sum(estimate.status == 0))
                 print(f"frame {bundle.frame_index}: {len(estimate)} points, {n_ok} ok, "
@@ -300,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="context window elevation bins")
     p.add_argument("--window-range", type=int, default=window.range_extent,
                    help="context window range bins")
-    p.add_argument("--cond-bound", type=float, default=DEFAULT_COND_BOUND,
-                   help="condition number above which the solve is degenerate")
     p.set_defaults(func=cmd_process)
 
     p = sub.add_parser("evaluate", help="object-wise metrics of estimates vs truth")

@@ -197,7 +197,7 @@ def threshold_cube(cube: RadarCube, threshold_db: float) -> RadarCube:
     mag = cube.magnitudes
     peak = float(mag.max()) if mag.size else 0.0
     cut = threshold_cut(peak, threshold_db)
-    return RadarCube(np.where(mag >= cut, mag, 0.0).astype(np.float32))
+    return RadarCube(np.where(mag >= cut, mag, 0.0))
 
 
 def doppler_bin_velocities(cfg: RadarConfig) -> np.ndarray:

@@ -36,19 +36,10 @@ from .velcube import (
     window_table,
 )
 
-DEFAULT_COND_BOUND = 1e6
+# The condition number at which a point is DEGENERATE_GEOMETRY; far below
+# rank deficiency (about 1e15), so the LU of a solved point has no zero pivot.
+COND_BOUND = 1e6
 _EPS = np.finfo(np.float64).eps
-# At this condition number a 3x3 matrix is rank-deficient to working
-# precision (np.linalg.matrix_rank's default tolerance, 3 eps sigma_max), and
-# LAPACK's LU may meet an exactly zero pivot: such a point is degenerate
-# whatever the cond_bound.
-_RANK_DEFICIENT_COND = 1.0 / (3.0 * _EPS)
-
-
-def check_cond_bound(cond_bound: float) -> None:
-    """Reject a cond_bound that is no condition number bound: one below 1, or NaN."""
-    if not cond_bound >= 1:  # written so that NaN fails
-        raise ValueError(f"cond_bound must be >= 1, got {cond_bound!r}")
 
 
 def read_flow(flow: FlowField, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +77,6 @@ def solve_velocities(
     r_hat: np.ndarray,
     r_dot: np.ndarray,
     dt: float,
-    cond_bound: float = DEFAULT_COND_BOUND,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert the three flow/radial constraints of many points at once.
 
@@ -96,21 +86,18 @@ def solve_velocities(
     radial velocities and dt the seconds between the frames. Returns
     (velocities (N, 3) in the camera frame, solved (N,)): a point whose
     constraint matrix has a non-finite condition number or one that
-    reaches the bound is not solved and gets zero velocity. The bound is
-    cond_bound (a condition number, so at least 1), capped at 1 / (3 eps),
-    where the matrix is rank-deficient to working precision.
+    reaches COND_BOUND is not solved and gets zero velocity.
 
     The decision is np.linalg.cond's, taken without one SVD per point: with
     c = frobenius_cond and the relative tolerance tol = 64 eps (1 + c), which
     covers the rounding of c and of LAPACK's cond_2, a point is solved when
-    tol < 1 and c (1 + tol) < bound, since cond_2 <= c, and degenerate when
-    tol < 1 and c (1 - tol) >= 3 bound, since c <= 3 cond_2. np.linalg.cond
-    runs on the rest, one SVD each: points whose cond_2 may lie within about
-    3x of the bound, and those whose c is not finite or above about 7e13.
+    tol < 1 and c (1 + tol) < COND_BOUND, since cond_2 <= c, and degenerate
+    when tol < 1 and c (1 - tol) >= 3 COND_BOUND, since c <= 3 cond_2.
+    np.linalg.cond runs on the rest, one SVD each: points whose cond_2 may lie
+    within about 3x of the bound, and those whose c is not finite or above
+    about 7e13.
     The solved points go through np.linalg.solve.
     """
-    check_cond_bound(cond_bound)
-    bound = min(cond_bound, _RANK_DEFICIENT_COND)
     p = np.asarray(p_norm, dtype=np.float64).reshape(-1, 2)
     q = np.asarray(q_cam, dtype=np.float64).reshape(-1, 3)
     r_hat = np.asarray(r_hat, dtype=np.float64).reshape(-1, 3)
@@ -130,12 +117,12 @@ def solve_velocities(
     with np.errstate(all="ignore"):
         tol = 64.0 * _EPS * (1.0 + c)
         sure = tol < 1  # False where c is NaN, inf or above about 7e13
-        solved = sure & (c * (1.0 + tol) < bound)
-        degenerate = sure & (c * (1.0 - tol) >= 3.0 * bound)
+        solved = sure & (c * (1.0 + tol) < COND_BOUND)
+        degenerate = sure & (c * (1.0 - tol) >= 3.0 * COND_BOUND)
     undecided = np.flatnonzero(~(solved | degenerate))
     if len(undecided):
         cond = np.linalg.cond(m[undecided])
-        solved[undecided] = np.isfinite(cond) & (cond < bound)
+        solved[undecided] = np.isfinite(cond) & (cond < COND_BOUND)
     velocities = np.zeros((len(p), 3))
     velocities[solved] = np.linalg.solve(m[solved], rhs[solved, :, None])[:, :, 0]
     return velocities, solved
@@ -148,7 +135,6 @@ def estimate_frame(
     camera: CameraModel,
     pair: FramePair,
     window: ContextWindow | None = None,
-    cond_bound: float = DEFAULT_COND_BOUND,
 ) -> VelocityPointCloud:
     """Estimate a 3D velocity for every point of the later frame's cloud.
 
@@ -191,7 +177,7 @@ def estimate_frame(
     rng = cartesian_to_polar(p)[0]
     q_cam = p @ camera.rotation.T + camera.translation
     r_hat_cam = (p / rng[:, None]) @ camera.rotation.T
-    vel_cam, solved = solve_velocities(p_norm, q_cam, r_hat_cam, r_dot[idx], pair.dt, cond_bound)
+    vel_cam, solved = solve_velocities(p_norm, q_cam, r_hat_cam, r_dot[idx], pair.dt)
     status[idx[~solved]] = PointStatus.DEGENERATE_GEOMETRY
     velocities = np.zeros((len(pts), 3))
     velocities[idx[solved]] = vel_cam[solved] @ camera.rotation  # back into the radar frame

@@ -12,6 +12,7 @@ import numpy as np
 
 from velofusion import sim
 from velofusion.cube import AdcCube, RadarConfig, _dft_matrix
+from velofusion.fusion import COND_BOUND
 from velofusion.metrics import ASSOCIATION_GATE, ObjectTrack, TrackFrame, cluster_points
 from velofusion.sim import SceneConfig
 from velofusion.types import FlowField, PointCloud, PointStatus, project_points
@@ -191,7 +192,7 @@ def brute_window_query(
     return brute_window_at(velocity, valid, bins, extents)
 
 
-def oracle_estimate_frame(cloud, vc, flow, camera, pair, window, cond_bound=1e6):
+def oracle_estimate_frame(cloud, vc, flow, camera, pair, window):
     """The per-point estimation loop: (status, velocities) of every point.
 
     Each point runs the status chain in order (radar coverage, window
@@ -231,7 +232,7 @@ def oracle_estimate_frame(cloud, vc, flow, camera, pair, window, cond_bound=1e6)
         m = np.array([[1.0, 0.0, 0.0 - u_p], [0.0, 1.0, 0.0 - v_p],
                       camera.rotation @ (point / rng)])
         cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond >= cond_bound:
+        if not np.isfinite(cond) or cond >= COND_BOUND:
             status[i] = PointStatus.DEGENERATE_GEOMETRY
             continue
         rhs = np.array([(q[0] - u_p * q[2]) / pair.dt, (q[1] - v_p * q[2]) / pair.dt, r_dot])

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -91,18 +92,17 @@ def test_process_applies_the_manifest_threshold(pipeline_dirs, tmp_path, thresho
                for i in got)
 
 
-def test_process_applies_window_and_cond_bound_flags(pipeline_dirs, tmp_path):
+def test_process_applies_window_flags(pipeline_dirs, tmp_path):
     frames, vel, _ = pipeline_dirs
     assert main(["process", "--in", str(frames), "--out", str(tmp_path / "vel"),
-                 "--window-az", "1", "--window-el", "1", "--window-range", "1",
-                 "--cond-bound", "5"]) == 0
+                 "--window-az", "1", "--window-el", "1", "--window-range", "1"]) == 0
     got, _ = read_velocity_sequence(tmp_path / "vel")
     at_default, _ = read_velocity_sequence(vel)
     frames_in, radar, camera, _ = read_frame_sequence(frames)
     for bundle in list(frames_in)[1:]:
         vc = collapse_doppler(build_radar_cube(bundle.adc, radar), radar)
         want = estimate_frame(bundle.lidar, vc, bundle.flow, camera,
-                              FramePair(dt=bundle.flow.dt), ContextWindow(1, 1, 1), 5.0)
+                              FramePair(dt=bundle.flow.dt), ContextWindow(1, 1, 1))
         assert np.array_equal(got[bundle.frame_index][1].status, want.status)
         assert np.array_equal(got[bundle.frame_index][1].velocities, want.velocities)
     assert any(not np.array_equal(got[i][1].status, at_default[i][1].status) for i in got)
@@ -113,21 +113,34 @@ def test_process_window_defaults_are_the_library_defaults():
     assert ContextWindow(args.window_az, args.window_el, args.window_range) == ContextWindow()
 
 
-@pytest.mark.parametrize("cond_bound", ["nan", "0", "-5"])
-def test_process_rejects_a_bad_cond_bound(pipeline_dirs, tmp_path, capsys, cond_bound):
+def test_readme_command_line_names_exactly_the_parser_flags():
+    """A flag cannot leave the parser and stay in README's `## Command line`
+    section, or the other way round."""
+    readme = (SCENES.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defined = {flag for sub in subparsers.choices.values() for action in sub._actions
+               for flag in action.option_strings
+               if flag.startswith("--") and not isinstance(action, argparse._HelpAction)}
+    assert len(defined) > 10
+    assert documented == defined
+
+
+def test_process_has_no_cond_bound_flag(pipeline_dirs, tmp_path, capsys):
+    """The degeneracy bound is fusion.COND_BOUND, not a flag."""
     frames, _, _ = pipeline_dirs
     capsys.readouterr()
-    code = main(["process", "--in", str(frames), "--out", str(tmp_path / "vel"),
-                 f"--cond-bound={cond_bound}"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "cond_bound must be >= 1" in err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["process", "--in", str(frames), "--out", str(tmp_path / "vel"),
+              "--cond-bound", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --cond-bound 5" in capsys.readouterr().err
     assert not (tmp_path / "vel").exists()
 
 
 @pytest.mark.parametrize("flag, message", [
-    ("--cond-bound=nan", "cond_bound must be >= 1, got nan"),
     ("--window-az=0", "azimuth_extent must be an integer >= 1, got 0"),
 ])
 def test_process_rejects_bad_flags_before_reading_frames(pipeline_dirs, tmp_path, capsys,

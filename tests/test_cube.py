@@ -206,6 +206,21 @@ def test_build_memory_peak_on_the_demo_radar(demo_adc):
     assert peak <= 2.5 * adc.samples.nbytes
 
 
+def test_threshold_memory_peak_on_the_demo_radar(demo_adc):
+    """The result is the one cube-sized allocation, beside the mask; it keeps
+    the input's memory order."""
+    adc, cfg = demo_adc
+    cube = build_radar_cube(adc, cfg)
+    tracemalloc.start()
+    try:
+        out = threshold_cube(cube, cfg.threshold_db)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * cube.magnitudes.nbytes
+    assert out.magnitudes.strides == cube.magnitudes.strides
+
+
 def test_build_rejects_a_cube_that_overflows_float32():
     adc = AdcCube(np.full((8, 16, 8, 4), 3e38, dtype=np.complex64))
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from velofusion.cube import RadarConfig, build_radar_cube, threshold_cube
 from velofusion.fusion import (
-    DEFAULT_COND_BOUND,
+    COND_BOUND,
     estimate_frame,
     frobenius_cond,
     read_flow,
@@ -266,18 +266,14 @@ def test_estimate_frame_status_paths():
 
 
 def test_estimate_frame_degenerate_status():
+    """Points on the side camera's singular sphere, under zero flow, with a
+    radar return everywhere."""
     cfg = RadarConfig()
-    camera = default_camera()
-    vc = _cube_with_voxels(cfg, {(64, 16, 4): 0.35})
-    out = estimate_frame(
-        PointCloud(np.array([[3.0, 0.0, 0.0]])),
-        vc,
-        _full_flow(camera),
-        camera,
-        FramePair(),
-        cond_bound=1.0,  # nothing is well-conditioned enough
-    )
-    assert out.status[0] == PointStatus.DEGENERATE_GEOMETRY
+    shape = (cfg.n_range_bins, cfg.n_azimuth_bins, cfg.n_elevation_bins)
+    vc = VelocityCube(np.full(shape, 0.35), np.ones(shape, dtype=bool), cfg)
+    out = estimate_frame(PointCloud(ON_SIDE_SPHERE), vc, _full_flow(SIDE_CAMERA), SIDE_CAMERA,
+                         FramePair())
+    assert np.all(out.status == PointStatus.DEGENERATE_GEOMETRY)
     assert np.all(out.velocities == 0)
 
 
@@ -462,9 +458,9 @@ def _oracle_scene(rng, n_points=300, density=0.1, coverage=0.7):
     return PointCloud(pts), vc, FlowField(flow, covered, 0.1)
 
 
-def _assert_matches_oracle(cloud, vc, flow, camera, pair, window, cond_bound=1e6):
-    got = estimate_frame(cloud, vc, flow, camera, pair, window, cond_bound)
-    status, velocities = oracle_estimate_frame(cloud, vc, flow, camera, pair, window, cond_bound)
+def _assert_matches_oracle(cloud, vc, flow, camera, pair, window):
+    got = estimate_frame(cloud, vc, flow, camera, pair, window)
+    status, velocities = oracle_estimate_frame(cloud, vc, flow, camera, pair, window)
     np.testing.assert_array_equal(got.status, status)
     np.testing.assert_array_equal(got.velocities, velocities)
     return got
@@ -499,8 +495,7 @@ def test_estimate_frame_matches_oracle_behind_camera_and_uncovered():
     assert np.any(in_radar & (depth > 0) & (out.status == PointStatus.OUT_OF_CAMERA))
 
 
-@pytest.mark.parametrize("cond_bound", [1e6, 50.0, 1.0])
-def test_estimate_frame_matches_oracle_degenerate_rotation(cond_bound):
+def test_estimate_frame_matches_oracle_degenerate_rotation():
     """The side camera's extrinsic rotation puts points on the singular sphere."""
     rng = np.random.default_rng(67)
     cloud, vc, flow = _oracle_scene(rng, density=1.0, coverage=1.0)
@@ -509,12 +504,9 @@ def test_estimate_frame_matches_oracle_degenerate_rotation(cond_bound):
     points[4:8] = ON_SIDE_SPHERE
     points[8:12] = ON_SIDE_SPHERE * [1.05, 1.0, 1.0]  # just off the sphere
     out = _assert_matches_oracle(PointCloud(points), vc, flow, SIDE_CAMERA, FramePair(),
-                                 ContextWindow(), cond_bound)
+                                 ContextWindow())
     assert np.all(out.status[4:8] == PointStatus.DEGENERATE_GEOMETRY)
-    if cond_bound == 1.0:
-        assert not np.any(out.status == PointStatus.OK)
-    else:
-        assert np.all(out.status[8:12] == PointStatus.OK)
+    assert np.all(out.status[8:12] == PointStatus.OK)
 
 
 @settings(max_examples=25, deadline=None)
@@ -536,7 +528,6 @@ def test_estimate_frame_permutation_equivariant(seed, n_points):
 # The closed-form condition number behind the DEGENERATE_GEOMETRY decision
 
 _EPS = np.finfo(np.float64).eps
-_COND_BOUNDS = (1.0, 50.0, 1e6, 1e12, np.inf)
 
 
 def _unit(x):
@@ -605,24 +596,13 @@ def _lapack_factors(matrix) -> bool:
     return True
 
 
-def test_solve_velocities_leaves_an_unfactorable_point_unsolved_at_an_infinite_bound():
-    """An exactly singular matrix whose LAPACK cond is finite (~1e17) is
-    rank-deficient, not solved, at cond_bound = inf."""
-    r_hat = np.array([0.9507, 0.2194, -0.2194])
-    r_hat /= np.linalg.norm(r_hat)
-    assert not _lapack_factors(_constraint_matrices(np.array([[0.0, 1.0]]), r_hat[None])[0])
-    vel, solved = solve_velocities([[0.0, 1.0]], [[0.4, -0.3, 5.0]], r_hat, [0.1], 0.1, np.inf)
-    assert solved.tolist() == [False] and vel.tolist() == [[0.0, 0.0, 0.0]]
-
-
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(_constraint_rows(), max_size=12))
 def test_solve_velocities_decides_as_lapack_cond(rows):
-    """solved is np.isfinite(c) & (c < bound) for c = np.linalg.cond(M) and
-    the bound capped at 1 / (3 eps), where M is rank-deficient to working
-    precision, so a matrix LAPACK cannot factor is never solved. The
-    velocities keep every bit of np.linalg.solve, and the Frobenius condition
-    number k_F brackets LAPACK's c as the decision relies on:
+    """solved is np.isfinite(c) & (c < COND_BOUND) for c = np.linalg.cond(M),
+    and a matrix LAPACK cannot factor is never solved. The velocities keep
+    every bit of np.linalg.solve, and the Frobenius condition number k_F
+    brackets LAPACK's c as the decision relies on:
     c <= k_F (1 + tol) and k_F (1 - tol) <= 3 c, tol = 64 eps (1 + k_F)."""
     p_norm = np.array([row[:2] for row in rows], dtype=np.float64).reshape(-1, 2)
     r_hat = np.array([row[2] for row in rows], dtype=np.float64).reshape(-1, 3)
@@ -633,14 +613,13 @@ def test_solve_velocities_decides_as_lapack_cond(rows):
     unfactorable = np.array([not _lapack_factors(x) for x in m], dtype=bool)
     rhs = np.stack([(q[:, 0] - p_norm[:, 0] * q[:, 2]) / 0.1,
                     (q[:, 1] - p_norm[:, 1] * q[:, 2]) / 0.1, r_dot], axis=1)
-    for bound in _COND_BOUNDS:
-        expected = np.isfinite(cond) & (cond < min(bound, 1 / (3 * _EPS)))
-        velocities = np.zeros((len(rows), 3))
-        velocities[expected] = np.linalg.solve(m[expected], rhs[expected, :, None])[:, :, 0]
-        vel, solved = solve_velocities(p_norm, q, r_hat, r_dot, 0.1, bound)
-        np.testing.assert_array_equal(solved, expected)
-        np.testing.assert_array_equal(vel, velocities)
-        assert not solved[unfactorable].any()  # DEGENERATE_GEOMETRY at every bound
+    expected = np.isfinite(cond) & (cond < COND_BOUND)
+    velocities = np.zeros((len(rows), 3))
+    velocities[expected] = np.linalg.solve(m[expected], rhs[expected, :, None])[:, :, 0]
+    vel, solved = solve_velocities(p_norm, q, r_hat, r_dot, 0.1)
+    np.testing.assert_array_equal(solved, expected)
+    np.testing.assert_array_equal(vel, velocities)
+    assert not solved[unfactorable].any()
 
     k_f = frobenius_cond(p_norm[:, 0], p_norm[:, 1], r_hat)
     tol = 64 * _EPS * (1 + k_f)
@@ -670,17 +649,15 @@ def _count_lapack_cond(monkeypatch):
 
 @pytest.mark.parametrize("scene_file", ["demo.json", "tiny.json"])
 def test_lapack_cond_not_called_on_a_scene_frame(monkeypatch, scene_file):
-    """The bracket decides every point of a scene frame, at the default bound and
-    at an infinite one; tiny.json has other camera intrinsics than demo.json."""
+    """The bracket decides every point of a scene frame; tiny.json has other
+    camera intrinsics than demo.json."""
     scene, cfg, camera = load_scene(SCENES / scene_file)
     cloud = synth_lidar(scene, 1)
     vc = collapse_doppler(build_radar_cube(simulate_adc(scene, 1, cfg), cfg), cfg)
     flow = synth_flow(scene, 0, camera)
     calls = _count_lapack_cond(monkeypatch)
-    for cond_bound in (DEFAULT_COND_BOUND, np.inf):
-        out = estimate_frame(cloud, vc, flow, camera, FramePair(scene.frame_interval),
-                             cond_bound=cond_bound)
-        assert np.count_nonzero(out.status == PointStatus.OK) > len(out.status) // 4
+    out = estimate_frame(cloud, vc, flow, camera, FramePair(scene.frame_interval))
+    assert np.count_nonzero(out.status == PointStatus.OK) > len(out.status) // 4
     assert calls == []
     solve_velocities(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), 0.1)
     assert calls == []
