@@ -68,6 +68,7 @@ from .velcube import (
     cartesian_to_polar,
     collapse_doppler,
     query_radial_velocity,
+    velocity_cube,
     window_table,
 )
 

@@ -14,7 +14,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .cube import build_radar_cube
 from .fusion import estimate_frame
 from .io import (
     FrameBundle,
@@ -39,7 +38,7 @@ from .sim import (
     synth_lidar,
 )
 from .types import FramePair
-from .velcube import ContextWindow, collapse_doppler
+from .velcube import ContextWindow, velocity_cube
 
 _CLUSTER_EPS, _CLUSTER_MIN_POINTS = 0.3, 5  # evaluate's and plot-speeds' clustering defaults
 
@@ -112,8 +111,9 @@ def cmd_process(args: argparse.Namespace) -> int:
         # writing would delete the input's frames before they are read
         raise ValueError(f"--out {args.out} is the --in directory; write the estimates "
                          f"to another directory")
-    frames, radar, camera, frame_interval = read_frame_sequence(args.in_dir,
-                                                                ("adc", "lidar", "flow"))
+    # Frame 0 has no flow, so neither its ADC nor any other tensor of it is read.
+    frames, radar, camera, frame_interval = read_frame_sequence(
+        args.in_dir, ("adc", "lidar", "flow"), flow_frames_only=True)
 
     def bundles():
         n_estimated = 0
@@ -121,18 +121,16 @@ def cmd_process(args: argparse.Namespace) -> int:
             estimate = None
             if bundle.adc is not None and bundle.lidar is not None and bundle.flow is not None:
                 start = time.perf_counter()
-                cube = build_radar_cube(bundle.adc, radar)
+                vc, bins = velocity_cube(bundle.adc, radar)
                 built = time.perf_counter()
-                vc = collapse_doppler(cube, radar)
-                del cube  # not held through the estimate (4 MB on the demo radar)
-                collapsed = time.perf_counter()
                 estimate = estimate_frame(bundle.lidar, vc, bundle.flow, camera,
                                           FramePair(bundle.flow.dt), window)
                 end = time.perf_counter()
                 n_ok = int(np.sum(estimate.status == 0))
                 print(f"frame {bundle.frame_index}: {len(estimate)} points, {n_ok} ok, "
-                      f"{end - start:.3f} s: cube {built - start:.3f} s, "
-                      f"collapse {collapsed - built:.3f} s, estimate {end - collapsed:.3f} s")
+                      f"{end - start:.3f} s: velocity cube {built - start:.3f} s "
+                      f"({len(bins)}/{radar.n_range_bins} range bins), "
+                      f"estimate {end - built:.3f} s")
                 n_estimated += 1
             yield FrameBundle(bundle.frame_index, bundle.timestamp, estimate=estimate)
         if not n_estimated:

@@ -8,11 +8,14 @@ doppler). The Doppler and both angle axes are center-shifted so zero velocity
 and boresight sit at the middle bin; the range axis is left unshifted and
 keeps one bin per sample of the complex-baseband spectrum.
 
-The range, elevation and azimuth products run as one BLAS call per chirp,
-each over the whole chirp, and the Doppler product as one call over the whole
-cube: 3 n_chirps + 1 calls per frame (97 on the default radar), however many
-samples and antennas there are. On the default radar every one of them is
-wide enough for OpenBLAS to run it on its worker threads.
+build_radar_cube runs the range, elevation and azimuth products as one BLAS
+call per chirp, each over the whole chirp, and the Doppler product as one call
+over the whole cube: 3 n_chirps + 1 calls per frame (97 on the default radar),
+however many samples and antennas there are. On the default radar every one
+of them is wide enough for OpenBLAS to run it on its worker threads. The
+process command's path, velcube.velocity_cube, makes the same range calls but
+runs the angle and Doppler calls only over the few range bins that can reach
+the threshold cut (_cut_range_bins): 4 to 8 of 128 on a demo frame.
 
 The magnitude is one contiguous abs of the Doppler product, in that product's
 own memory order (doppler, range, elevation, azimuth); the cube is a
@@ -134,6 +137,54 @@ def _dft_matrix(n: int, window: bool, shift: bool) -> np.ndarray:
     return m
 
 
+def _expected_shape(adc: AdcCube, cfg: RadarConfig) -> tuple[int, int, int, int]:
+    expected = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins, cfg.n_elevation_bins)
+    if adc.samples.shape != expected:
+        raise ValueError(
+            f"ADC shape {adc.samples.shape} does not match config "
+            f"(chirps, samples, az, el) = {expected}"
+        )
+    return expected
+
+
+def _range_spectrum(adc: AdcCube, out: np.ndarray) -> None:
+    """The windowed range product of every chirp into out, (C, R, A, E)."""
+    n_c, n_s = adc.samples.shape[:2]
+    np.matmul(_dft_matrix(n_s, True, False), adc.samples.reshape(n_c, n_s, -1),
+              out=out.reshape(n_c, n_s, -1))                                        # (C, R, A, E)
+
+
+def _angle_doppler(p: np.ndarray, q: np.ndarray) -> None:
+    """The elevation, azimuth and Doppler products of the range spectrum in p.
+
+    p holds (chirp, range, azimuth, elevation) for any number of range bins
+    and ends holding the spectrum in (doppler, range, elevation, azimuth)
+    order; q, of p's shape, is scratch. Elevation and azimuth take one
+    product per chirp, the transformed axis last; one transposing copy moves
+    azimuth last. Doppler is one left product. Each output entry is a product
+    over one range bin's entries alone, so a run on some of the range bins
+    gives those bins the values a run on all of them gives, and the same bits
+    on the bins _gathered_bins picks.
+    """
+    n_c, n_r, n_a, n_e = p.shape
+    np.matmul(p.reshape(n_c, -1, n_e), _dft_matrix(n_e, False, True).T,
+              out=q.reshape(n_c, -1, n_e))                                          # (C, R, A, E)
+    np.copyto(p.reshape(n_c, n_r, n_e, n_a),
+              q.reshape(n_c, n_r, n_a, n_e).transpose(0, 1, 3, 2))                  # (C, R, E, A)
+    np.matmul(p.reshape(n_c, -1, n_a), _dft_matrix(n_a, False, True).T,
+              out=q.reshape(n_c, -1, n_a))                                          # (C, R, E, A)
+    np.matmul(_dft_matrix(n_c, True, True), q.reshape(n_c, -1), out=p.reshape(n_c, -1))
+
+
+def _magnitudes(p: np.ndarray) -> RadarCube:
+    """|p| of an _angle_doppler result, written in p's own memory order and
+    seen as (range, azimuth, elevation, doppler)."""
+    n_c, n_r, n_a, n_e = p.shape
+    mag = np.empty((n_c, n_r, n_e, n_a), dtype=np.float32)
+    np.abs(p.reshape(mag.shape), out=mag)                                           # (C, R, E, A)
+    return RadarCube(mag.transpose(1, 3, 2, 0))                                     # (R, A, E, C)
+
+
 def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
     """Transform an ADC tensor into a (range, azimuth, elevation, doppler) cube.
 
@@ -144,34 +195,92 @@ def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
     Doppler product's order, (doppler, range, elevation, azimuth), and the
     cube indexes them through a transposed view of that buffer.
     """
-    expected = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins, cfg.n_elevation_bins)
-    if adc.samples.shape != expected:
-        raise ValueError(
-            f"ADC shape {adc.samples.shape} does not match config "
-            f"(chirps, samples, az, el) = {expected}"
-        )
-    n_c, n_s, n_a, n_e = expected
-    # Range, elevation and azimuth take one product per chirp, the transformed axis
-    # first (a left product) or last (a right one) of the chirp's block; one
-    # transposing copy moves azimuth last. Doppler is one left product. q comes first
-    # so that the magnitudes can take its memory once it is freed: in the other order
-    # glibc trimmed and re-faulted about 7 MB of heap per pass of the benchmark's
-    # crowd workload.
+    expected = _expected_shape(adc, cfg)
+    # q comes first so that the magnitudes can take its memory once it is freed:
+    # in the other order glibc trimmed and re-faulted about 7 MB of heap per pass
+    # of the benchmark's crowd workload.
     q = np.empty(expected, dtype=np.complex64)
     p = np.empty(expected, dtype=np.complex64)
-    np.matmul(_dft_matrix(n_s, True, False), adc.samples.reshape(n_c, n_s, -1),
-              out=p.reshape(n_c, n_s, -1))                                          # (C, R, A, E)
-    np.matmul(p.reshape(n_c, -1, n_e), _dft_matrix(n_e, False, True).T,
-              out=q.reshape(n_c, -1, n_e))                                          # (C, R, A, E)
-    np.copyto(p.reshape(n_c, n_s, n_e, n_a),
-              q.reshape(n_c, n_s, n_a, n_e).transpose(0, 1, 3, 2))                  # (C, R, E, A)
-    np.matmul(p.reshape(n_c, -1, n_a), _dft_matrix(n_a, False, True).T,
-              out=q.reshape(n_c, -1, n_a))                                          # (C, R, E, A)
-    np.matmul(_dft_matrix(n_c, True, True), q.reshape(n_c, -1), out=p.reshape(n_c, -1))
+    _range_spectrum(adc, p)
+    _angle_doppler(p, q)
     del q
-    mag = np.empty((n_c, n_s, n_e, n_a), dtype=np.float32)
-    np.abs(p.reshape(mag.shape), out=mag)                                           # (C, R, E, A)
-    return RadarCube(mag.transpose(1, 3, 2, 0))                                     # (R, A, E, C)
+    return _magnitudes(p)
+
+
+# Relative slack on the range-bin bound of _cut_range_bins. The rounding of
+# the three complex64 products and of the bound's own float32 sums stays below
+# about (n_chirps + n_azimuth_bins + n_elevation_bins + 16) * 2**-24 * sqrt(2)
+# of the bound, 1e-5 on the default radar and below 1e-4 up to a thousand bins
+# over the three axes, and the float32 rounding of the cut is 6e-8 of it: 1e-3
+# covers both with room.
+BOUND_SLACK = 1e-3
+
+
+# BLAS kernels compute a product in tiles of a few rows and columns, at most 16,
+# and run the rows and columns left over at the end through narrower kernels that
+# may round differently. _gathered_bins keeps every entry of a gathered product in
+# the kind of tile it has in the full build's product.
+_TILE = 16
+
+
+def _gathered_bins(keep: np.ndarray, n_a: int, n_e: int) -> np.ndarray:
+    """The range bins keep marks, plus the fewest others that make each
+    gathered product's length along the range axis (n_a, n_e or n_a * n_e
+    rows per bin) congruent to the full build's modulo _TILE, with the top
+    bins, which hold the full build's leftover rows, among them. Ascending."""
+    n_r = len(keep)
+    keep = keep.copy()
+    keep[n_r - max(-(-(n_r * x % _TILE) // x) for x in (n_a, n_e)):] = True
+    free = np.flatnonzero(~keep)
+    extra = len(free) % (_TILE // math.gcd(_TILE, n_a, n_e))
+    keep[free[len(free) - extra:]] = True
+    return np.flatnonzero(keep)
+
+
+def _bins_magnitudes(y: np.ndarray, bins: np.ndarray) -> RadarCube:
+    """build_radar_cube's magnitudes of the given range bins of the range
+    spectrum y, (range bin, azimuth, elevation, doppler)."""
+    q = np.empty((y.shape[0], len(bins), *y.shape[2:]), dtype=np.complex64)
+    p = np.take(y, bins, axis=1)
+    _angle_doppler(p, q)
+    del q
+    return _magnitudes(p)
+
+
+def _cut_range_bins(adc: AdcCube, cfg: RadarConfig) -> tuple[np.ndarray, RadarCube]:
+    """The range bins that can hold a voxel within cfg.threshold_db of the
+    global peak, with build_radar_cube's magnitudes on them.
+
+    Every voxel of range bin r is at most B[r] = sum_c max_d |D[d, c]| *
+    sum_(a, e) |Y[c, r, a, e]|, with Y the range spectrum and D the Doppler
+    matrix: the angle matrices' entries have unit modulus. The angle and
+    Doppler products run first on the bin of largest B, whose strongest
+    magnitude P1 is at most the global peak, and then on every bin with
+    B[r] * (1 + BOUND_SLACK) > threshold_cut(P1); each run also takes the
+    bins _gathered_bins adds. A skipped bin stays below
+    the float32 cut even after rounding, so it holds neither the peak nor a
+    voxel that reaches the cut, and the computed bins hold the build's bits.
+    Bins whose bound is not finite, or whose per-chirp sums come near the
+    float32 limit, are computed, so a cube that overflows raises as the
+    build does.
+    """
+    n_c, n_r, n_a, n_e = _expected_shape(adc, cfg)
+    y = np.empty((n_c, n_r, n_a, n_e), dtype=np.complex64)
+    _range_spectrum(adc, y)
+    sums = np.empty((n_c, n_r))
+    row = np.empty((n_r, n_a * n_e), dtype=np.float32)
+    for c in range(n_c):
+        np.abs(y[c].reshape(n_r, -1), out=row)
+        sums[c] = row.sum(axis=1)
+    bound = np.abs(_dft_matrix(n_c, True, True)).max(axis=0).astype(np.float64) @ sums
+    bound[sums.max(axis=0) * (1 + BOUND_SLACK) >= np.finfo(np.float32).max] = np.inf
+    first = np.zeros(n_r, dtype=bool)
+    first[np.argmax(bound)] = True
+    bins = _gathered_bins(first, n_a, n_e)
+    peak = float(_bins_magnitudes(y, bins).magnitudes.max())
+    keep = ~(bound * (1 + BOUND_SLACK) <= threshold_cut(peak, cfg.threshold_db)) | first
+    bins = _gathered_bins(keep, n_a, n_e)
+    return bins, _bins_magnitudes(y, bins)
 
 
 def threshold_cut(peak: float, threshold_db: float) -> float:

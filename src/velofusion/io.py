@@ -342,12 +342,14 @@ FRAME_COMPONENTS = ("adc", "lidar", "flow", "ground_truth", "estimate")
 def read_frame_sequence(
     directory: str | Path,
     components: Collection[str] = FRAME_COMPONENTS,
+    flow_frames_only: bool = False,
 ) -> tuple[Iterator[FrameBundle], RadarConfig, CameraModel, float]:
     """Check the component names and the manifest now. The frames iterator
     reads and checks each frame's meta.json when the loop reaches the frame
     and decodes only the named FrameBundle components; the others stay None
-    and their tensors are not read. A damaged tensor is a FormatError naming
-    its frame directory."""
+    and their tensors are not read. With flow_frames_only, a frame without
+    flow comes with every component None, so none of its tensors is read. A
+    damaged tensor is a FormatError naming its frame directory."""
     unknown = set(components) - set(FRAME_COMPONENTS)
     if unknown:
         raise ValueError(f"unknown frame components {sorted(unknown)}")
@@ -383,6 +385,8 @@ def read_frame_sequence(
         flow_dt = _take(meta, mwhere, "flow_dt")
         _reject_extras(meta, mwhere)
         bundle = FrameBundle(frame_index=idx, timestamp=timestamp)
+        if flow_frames_only and not (fdir / "flow.crlv").exists():
+            return bundle
         if "adc" in components and (fdir / "adc.crlv").exists():
             bundle.adc = AdcCube(read_tensor(fdir / "adc.crlv"))
         if "lidar" in components and (fdir / "lidar_positions.crlv").exists():

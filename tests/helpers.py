@@ -19,6 +19,12 @@ from velofusion.types import FlowField, PointCloud, PointStatus, project_points
 from velofusion.velcube import ContextWindow
 
 
+# 8192 x 24 ADC rows: 5,461-row noise blocks that end inside a chirp, and
+# 12 scatterers in blocks of 5
+RAGGED_RADAR = RadarConfig(n_samples=64, n_chirps=128, n_azimuth_bins=6, n_elevation_bins=4,
+                           range_resolution=0.1, speed_resolution=0.005)
+
+
 def hanning_closed_form(n: int) -> np.ndarray:
     i = np.arange(n)
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * i / (n - 1)))

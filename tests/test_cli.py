@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from velofusion import cli, cube
 from velofusion.cli import build_parser, main
 from velofusion.cube import build_radar_cube, threshold_cube
 from velofusion.fusion import estimate_frame
 from velofusion.io import (
+    FormatError,
     FrameBundle,
     load_scene,
     read_frame_sequence,
@@ -181,8 +183,8 @@ def test_manifest_with_one_sided_range_fails_cleanly(pipeline_dirs, tmp_path, ca
 
 
 def test_process_prints_per_frame_timing(pipeline_dirs, capsys, tmp_path):
-    """Each processed frame prints its seconds, split into the radar cube, the
-    Doppler collapse and the estimate."""
+    """Each processed frame prints its seconds, split into the velocity cube
+    and the estimate, and the range bins whose spectra were computed."""
     frames, _, _ = pipeline_dirs
     capsys.readouterr()
     assert main(["process", "--in", str(frames), "--out", str(tmp_path / "vel2")]) == 0
@@ -190,11 +192,13 @@ def test_process_prints_per_frame_timing(pipeline_dirs, capsys, tmp_path):
     assert [line.split(":")[0] for line in lines[:-1]] == ["frame 1", "frame 2"]
     num = r"(\d+\.\d{3})"
     for line in lines[:-1]:
-        m = re.fullmatch(rf"frame \d+: \d+ points, \d+ ok, {num} s: cube {num} s, "
-                         rf"collapse {num} s, estimate {num} s", line)
+        m = re.fullmatch(rf"frame \d+: \d+ points, \d+ ok, {num} s: velocity cube {num} s "
+                         rf"\((\d+)/32 range bins\), estimate {num} s", line)
         assert m, line
-        total, *parts = map(float, m.groups())
-        assert sum(parts) == pytest.approx(total, abs=0.003)
+        total, cube_s, bins, estimate_s = map(float, m.groups())
+        assert cube_s + estimate_s == pytest.approx(total, abs=0.002)
+        assert 1 <= bins <= 32
+    assert _tree(tmp_path / "vel2") == _tree(pipeline_dirs[1])
 
 
 def test_evaluate_report(pipeline_dirs):
@@ -248,7 +252,7 @@ def test_evaluation_reads_only_lidar_and_truth(pipeline_dirs, tmp_path, capsys):
     capsys.readouterr()
     assert main(["process", "--in", str(edited), "--out", str(tmp_path / "vel")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "frame_000000" in err and "adc.crlv" in err
+    assert err.startswith("error: ") and "frame_000002" in err and "adc.crlv" in err
 
 
 def test_unknown_scene_file_fails_cleanly(tmp_path, capsys):
@@ -610,6 +614,30 @@ def test_process_decodes_no_ground_truth(pipeline_dirs, tmp_path):
         victim.write_bytes(b"not a tensor")
     assert main(["process", "--in", str(edited), "--out", str(tmp_path / "vel")]) == 0
     assert _tree(tmp_path / "vel") == _tree(vel)
+
+
+def test_process_reads_no_tensor_of_a_frame_without_flow(pipeline_dirs, tmp_path):
+    """Frame 0 has no flow, so process never decodes its truncated ADC, while
+    the other readers of the sequence still do."""
+    frames, vel, _ = pipeline_dirs
+    edited = tmp_path / "frames"
+    shutil.copytree(frames, edited)
+    adc = edited / "frame_000000" / "adc.crlv"
+    adc.write_bytes(adc.read_bytes()[:1000])
+    assert main(["process", "--in", str(edited), "--out", str(tmp_path / "vel")]) == 0
+    assert _tree(tmp_path / "vel") == _tree(vel)
+    with pytest.raises(FormatError, match="frame_000000"):
+        next(read_frame_sequence(edited)[0])
+
+
+def test_process_never_builds_the_full_radar_cube(pipeline_dirs, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("process built the full radar cube")
+
+    monkeypatch.setattr(cube, "build_radar_cube", refuse)
+    monkeypatch.setattr(cli, "build_radar_cube", refuse, raising=False)
+    assert main(["process", "--in", str(pipeline_dirs[0]), "--out", str(tmp_path / "vel")]) == 0
+    assert _tree(tmp_path / "vel") == _tree(pipeline_dirs[1])
 
 
 def test_evaluate_rejects_a_sequence_without_estimates(pipeline_dirs, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,15 +12,24 @@ from velofusion.cube import (
     AdcCube,
     RadarConfig,
     RadarCube,
+    _cut_range_bins,
     _dft_matrix,
     build_radar_cube,
     doppler_bin_velocities,
     threshold_cube,
+    threshold_cut,
 )
 from velofusion.io import load_scene
 from velofusion.sim import Scatterer, SceneConfig, simulate_adc
+from velofusion.velcube import collapse_doppler, velocity_cube
 
-from helpers import bin_to_physical, center_shift, dft_cube_oracle, transposing_radar_cube
+from helpers import (
+    RAGGED_RADAR,
+    bin_to_physical,
+    center_shift,
+    dft_cube_oracle,
+    transposing_radar_cube,
+)
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -355,3 +365,132 @@ def test_hanning_beats_rectangular_on_sidelobes():
     assert hann >= 30.0
     assert rect >= 12.0
     assert hann > rect
+
+
+def _assert_velocity_cube_is_the_build(adc, cfg):
+    """velocity_cube is the full build's collapse bit for bit, and every bin
+    it computed holds the full build's magnitudes."""
+    full = build_radar_cube(adc, cfg)
+    want = collapse_doppler(full, cfg)
+    vc, bins = velocity_cube(adc, cfg)
+    assert np.array_equal(vc.valid, want.valid)
+    assert np.array_equal(vc.velocity, want.velocity)
+    got_bins, cut = _cut_range_bins(adc, cfg)
+    assert np.array_equal(got_bins, bins) and len(bins) >= 1
+    assert np.array_equal(cut.magnitudes, full.magnitudes[bins])
+    return bins
+
+
+def _tone_adc(cfg, freqs):
+    """One complex exponential over (chirp, sample, azimuth, elevation), at
+    freqs cycles per axis length."""
+    shape = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins, cfg.n_elevation_bins)
+    phase = sum(np.arange(n).reshape([-1 if i == axis else 1 for i in range(4)]) * f / n
+                for axis, (n, f) in enumerate(zip(shape, freqs)))
+    return np.exp(2j * np.pi * phase)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.tuples(st.integers(2, 24), st.integers(2, 64), st.integers(2, 16),
+                       st.integers(2, 8)),
+       threshold_db=st.sampled_from([0.5, 3.0, 5.0, 10.0, 20.0, 40.0]),
+       scale=st.integers(-20, 20), kind=st.sampled_from(["zero", "noise", "tone"]),
+       noise_decades=st.integers(0, 30))
+def test_velocity_cube_is_the_build_on_random_radars(seed, shape, threshold_db, scale, kind,
+                                                    noise_decades):
+    n_chirps, n_samples, n_az, n_el = shape
+    cfg = RadarConfig(n_samples=n_samples, n_chirps=n_chirps, n_azimuth_bins=n_az,
+                      n_elevation_bins=n_el, threshold_db=threshold_db)
+    rng = np.random.default_rng(seed)
+    raw = np.zeros(shape, dtype=np.complex128)
+    if kind != "zero":
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "tone":
+        raw = _tone_adc(cfg, rng.uniform(0, shape)) + 10.0 ** -noise_decades * raw
+    _assert_velocity_cube_is_the_build(AdcCube((10.0 ** scale * raw).astype(np.complex64)), cfg)
+
+
+def test_velocity_cube_of_a_zero_adc_computes_only_the_first_bins():
+    """Every bound is 0, so only the bin of largest bound runs, with one more
+    that keeps the demo radar's azimuth products whole tiles of 16 rows."""
+    cfg = RadarConfig()
+    adc = AdcCube(np.zeros((cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins,
+                            cfg.n_elevation_bins), dtype=np.complex64))
+    vc, bins = velocity_cube(adc, cfg)
+    assert not vc.valid.any()
+    assert len(bins) == 2
+
+
+@pytest.mark.parametrize("name", ["demo", "tiny", "crowd", "small", "odd_chirps"])
+def test_velocity_cube_is_the_build_on_every_radar_shape(name):
+    adcs, cfg = _adc_frames(name)
+    for adc in adcs:
+        _assert_velocity_cube_is_the_build(adc, cfg)
+
+
+def test_velocity_cube_is_the_build_on_the_ragged_radar():
+    cfg = RAGGED_RADAR
+    rng = np.random.default_rng(5)
+    for tone in ((3.0, 20.4, 1.5, 0.5), (100.2, 7.7, 4.9, 3.1)):
+        adc = _tone_adc(cfg, tone) + 0.05 * _noise_adc(cfg, int(rng.integers(1000))).samples
+        _assert_velocity_cube_is_the_build(AdcCube(adc.astype(np.complex64)), cfg)
+
+
+def test_velocity_cube_is_the_build_on_every_demo_frame():
+    scene, cfg, _ = load_scene(SCENES / "demo.json")
+    for f in range(scene.n_frames):
+        bins = _assert_velocity_cube_is_the_build(simulate_adc(scene, f, cfg), cfg)
+        if 1 <= f <= 4:
+            assert len(bins) <= 8, (f, bins)
+
+
+@pytest.mark.parametrize("at_cut", [True, False], ids=["at-the-cut", "just-below-the-cut"])
+def test_velocity_cube_keeps_a_bin_whose_maximum_meets_its_bound_at_the_cut(at_cut):
+    """A tone at zero Doppler and boresight adds up in phase, so each range
+    bin's strongest magnitude is its bound up to rounding. The threshold is
+    set so that the float32 cut lands on a side bin's strongest magnitude,
+    or one float32 step above it: the side bin is then valid, or not, as in
+    the full build."""
+    cfg = replace(SMALL, n_samples=32)
+    adc = AdcCube(_tone_adc(cfg, (0.0, 9.37, 0.0, 0.0)).astype(np.complex64))
+    full = build_radar_cube(adc, cfg).magnitudes
+    strongest = full.max(axis=(1, 2, 3))
+    peak, side = float(strongest.max()), np.float32(strongest[12])
+    assert 1e-3 < side / peak < 0.5
+    target = side if at_cut else np.nextafter(side, np.float32(np.inf))
+    db = 20 * math.log10(peak / float(target))
+    for _ in range(100):  # nudge the threshold until the float32 cut is the target
+        cut = np.float32(threshold_cut(peak, db))
+        if cut == target:
+            break
+        db = math.nextafter(db, math.inf if cut > target else -math.inf)
+    assert cut == target
+    cfg = replace(cfg, threshold_db=db)
+    bins = _assert_velocity_cube_is_the_build(adc, cfg)
+    assert 12 in bins
+    vc, _ = velocity_cube(adc, cfg)
+    assert vc.valid[12].any() == at_cut
+
+
+def test_velocity_cube_raises_as_the_build_on_a_float32_overflow():
+    adc = AdcCube(np.full((8, 16, 8, 4), 3e38, dtype=np.complex64))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="finite") as build_error:
+            build_radar_cube(adc, SMALL)
+        with pytest.raises(ValueError, match="finite") as error:
+            velocity_cube(adc, SMALL)
+    assert str(error.value) == str(build_error.value)
+
+
+def test_velocity_cube_memory_peak_on_the_demo_radar(demo_adc):
+    """The range spectrum is the one ADC-sized buffer; the full build needs two."""
+    adc, cfg = demo_adc
+    velocity_cube(adc, cfg)  # matrices cached
+    tracemalloc.start()
+    try:
+        velocity_cube(adc, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * adc.samples.nbytes

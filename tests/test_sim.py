@@ -28,6 +28,7 @@ from velofusion.sim import (
 from velofusion.types import CameraModel, PointStatus
 
 from helpers import (
+    RAGGED_RADAR,
     advance_scene,
     assert_adc_close,
     oracle_simulate_adc,
@@ -195,12 +196,6 @@ def _random_scene(seed, n, cfg, noise_floor=0.0):
             velocity=tuple(rng.uniform(-0.5, 0.5, 3) * cfg.max_speed / 0.9),
             amplitude=rng.uniform(0.2, 3.0))
         for _ in range(n)), noise_floor=noise_floor, seed=seed)
-
-
-# 8192 x 24 ADC rows: 5,461-row noise blocks that end inside a chirp, and
-# 12 scatterers in blocks of 5
-RAGGED_RADAR = RadarConfig(n_samples=64, n_chirps=128, n_azimuth_bins=6, n_elevation_bins=4,
-                           range_resolution=0.1, speed_resolution=0.005)
 
 
 def _adc_case(name, noise_floor):
