@@ -31,7 +31,6 @@ from .metrics import (
 )
 from .sim import (
     ground_truth_velocities,
-    noise_block_count,
     noise_blocks,
     simulate_adc,
     synth_flow,
@@ -42,17 +41,24 @@ from .velcube import ContextWindow, velocity_cube
 
 _CLUSTER_EPS, _CLUSTER_MIN_POINTS = 0.3, 5  # evaluate's and plot-speeds' clustering defaults
 
+# Noise blocks (1 MiB each) drawn ahead of the render. While the main thread
+# checks and writes a frame, about 10 ms on the demo, the helper thread draws
+# about 6 blocks of the next frame; more would only wait in memory, and the
+# rest are drawn while that frame renders.
+_NOISE_AHEAD = 6
+
 
 class _NoiseAhead:
-    """A frame sequence's noise blocks, drawn `depth` blocks ahead on one
-    helper thread: iterating yields them in stream order, and `waited` sums
-    the seconds spent waiting for them. Leaving the `with` block cancels the
-    queued draws and joins the thread, also when a frame raised."""
+    """A frame sequence's noise blocks, drawn _NOISE_AHEAD blocks ahead on
+    one helper thread: iterating yields them in stream order, and `waited`
+    sums the seconds spent waiting for them. Leaving the `with` block cancels
+    the queued draws and joins the thread, also when a frame raised."""
 
-    def __init__(self, blocks: Iterator[np.ndarray], depth: int):
+    def __init__(self, blocks: Iterator[np.ndarray]):
         self._blocks = blocks
         self._pool = ThreadPoolExecutor(1)
-        self._ahead = deque(self._pool.submit(next, blocks, None) for _ in range(depth))
+        self._ahead = deque(self._pool.submit(next, blocks, None)
+                            for _ in range(_NOISE_AHEAD))
         self.waited = 0.0
 
     def __enter__(self) -> "_NoiseAhead":
@@ -76,9 +82,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scene, radar, camera = load_scene(args.scene)
     if args.seed is not None:
         scene = replace(scene, seed=args.seed)
-    # The seeded noise draw is about half of a frame's time. Drawn one frame
-    # ahead, frame f+1's draw runs beside frame f's render, checks and write,
-    # and no more than a frame's noise waits in memory.
+    # The seeded noise draw is about half of a frame's time. Drawn ahead on a
+    # helper thread, it runs beside the render, checks and write.
     stream = chain.from_iterable(noise_blocks(scene, f, radar) for f in range(scene.n_frames))
 
     def bundles(noise: _NoiseAhead):
@@ -96,7 +101,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"frame {f}: {time.perf_counter() - start:.3f} s, "
                   f"{noise.waited - waited:.3f} s waiting for noise")
             yield bundle
-    with _NoiseAhead(stream, noise_block_count(radar)) as noise:
+            del bundle, lidar  # frame f is written; it need not wait for f+1's render
+    with _NoiseAhead(stream) as noise:
         n_frames = write_frame_sequence(args.out, bundles(noise), radar, camera,
                                         scene.frame_interval)
     print(f"simulate: wrote {n_frames} frames to {args.out}")
@@ -115,24 +121,29 @@ def cmd_process(args: argparse.Namespace) -> int:
     frames, radar, camera, frame_interval = read_frame_sequence(
         args.in_dir, ("adc", "lidar", "flow"), flow_frames_only=True)
 
+    # One frame's estimate; its velocity cube is let go before the next frame is read.
+    def estimate(bundle: FrameBundle):
+        start = time.perf_counter()
+        vc, bins = velocity_cube(bundle.adc, radar)
+        built = time.perf_counter()
+        est = estimate_frame(bundle.lidar, vc, bundle.flow, camera,
+                             FramePair(bundle.flow.dt), window)
+        end = time.perf_counter()
+        n_ok = int(np.sum(est.status == 0))
+        print(f"frame {bundle.frame_index}: {len(est)} points, {n_ok} ok, "
+              f"{end - start:.3f} s: velocity cube {built - start:.3f} s "
+              f"({len(bins)}/{radar.n_range_bins} range bins), "
+              f"estimate {end - built:.3f} s")
+        return est
+
     def bundles():
         n_estimated = 0
         for bundle in frames:
-            estimate = None
+            est = None
             if bundle.adc is not None and bundle.lidar is not None and bundle.flow is not None:
-                start = time.perf_counter()
-                vc, bins = velocity_cube(bundle.adc, radar)
-                built = time.perf_counter()
-                estimate = estimate_frame(bundle.lidar, vc, bundle.flow, camera,
-                                          FramePair(bundle.flow.dt), window)
-                end = time.perf_counter()
-                n_ok = int(np.sum(estimate.status == 0))
-                print(f"frame {bundle.frame_index}: {len(estimate)} points, {n_ok} ok, "
-                      f"{end - start:.3f} s: velocity cube {built - start:.3f} s "
-                      f"({len(bins)}/{radar.n_range_bins} range bins), "
-                      f"estimate {end - built:.3f} s")
+                est = estimate(bundle)
                 n_estimated += 1
-            yield FrameBundle(bundle.frame_index, bundle.timestamp, estimate=estimate)
+            yield FrameBundle(bundle.frame_index, bundle.timestamp, estimate=est)
         if not n_estimated:
             raise ValueError("no processable frames (a frame needs adc, lidar and flow)")
     n_frames = write_frame_sequence(args.out, bundles(), radar, camera, frame_interval)

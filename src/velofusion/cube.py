@@ -10,17 +10,20 @@ keeps one bin per sample of the complex-baseband spectrum.
 
 build_radar_cube runs the range, elevation and azimuth products as one BLAS
 call per chirp, each over the whole chirp, and the Doppler product as one call
-over the whole cube: 3 n_chirps + 1 calls per frame (97 on the default radar),
-however many samples and antennas there are. On the default radar every one
-of them is wide enough for OpenBLAS to run it on its worker threads. The
-process command's path, velcube.velocity_cube, makes the same range calls but
-runs the angle and Doppler calls only over the few range bins that can reach
-the threshold cut (_cut_range_bins): 4 to 8 of 128 on a demo frame.
+per chunk of range bins: 3 n_chirps calls per frame plus one per chunk (104 on
+the default radar, in 8 chunks of 16 bins), however many antennas there are.
+On the default radar every one of them is wide enough for OpenBLAS to run it
+on its worker threads. The chirps go through the range and angle products in
+groups, and the Doppler product through its chunks, in one complex buffer the
+size of the ADC tensor and a 1 MiB scratch (_magnitudes). The process
+command's path, velcube.velocity_cube, makes the same range calls but runs
+the angle and Doppler calls only over the few range bins that can reach the
+threshold cut (_cut_range_bins): 4 to 8 of 128 on a demo frame.
 
-The magnitude is one contiguous abs of the Doppler product, in that product's
-own memory order (doppler, range, elevation, azimuth); the cube is a
-transposed view of it, so the Doppler axis is outermost in memory and a
-reduce over it runs over whole (range, azimuth, elevation) slices.
+The magnitude of each Doppler chunk is written straight into its place in
+that product's own memory order (doppler, range, elevation, azimuth); the
+cube is a transposed view of it, so the Doppler axis is outermost in memory
+and a reduce over it runs over whole (range, azimuth, elevation) slices.
 """
 from __future__ import annotations
 
@@ -147,41 +150,72 @@ def _expected_shape(adc: AdcCube, cfg: RadarConfig) -> tuple[int, int, int, int]
     return expected
 
 
-def _range_spectrum(adc: AdcCube, out: np.ndarray) -> None:
-    """The windowed range product of every chirp into out, (C, R, A, E)."""
-    n_c, n_s = adc.samples.shape[:2]
-    np.matmul(_dft_matrix(n_s, True, False), adc.samples.reshape(n_c, n_s, -1),
+def _range_spectrum(samples: np.ndarray, out: np.ndarray) -> None:
+    """The windowed range product of every chirp of samples into out, both
+    (chirp, sample or range, A, E)."""
+    n_c, n_s = samples.shape[:2]
+    np.matmul(_dft_matrix(n_s, True, False), samples.reshape(n_c, n_s, -1),
               out=out.reshape(n_c, n_s, -1))                                        # (C, R, A, E)
 
 
-def _angle_doppler(p: np.ndarray, q: np.ndarray) -> None:
-    """The elevation, azimuth and Doppler products of the range spectrum in p.
+# BLAS kernels compute a product in tiles of a few rows and columns, at most 16,
+# and run the rows and columns left over at the end through narrower kernels that
+# may round differently. _magnitudes' chunks and _gathered_bins keep every entry
+# of a product in the kind of tile it has in the full build's product.
+_TILE = 16
 
-    p holds (chirp, range, azimuth, elevation) for any number of range bins
-    and ends holding the spectrum in (doppler, range, elevation, azimuth)
-    order; q, of p's shape, is scratch. Elevation and azimuth take one
-    product per chirp, the transformed axis last; one transposing copy moves
-    azimuth last. Doppler is one left product. Each output entry is a product
-    over one range bin's entries alone, so a run on some of the range bins
-    gives those bins the values a run on all of them gives, and the same bits
-    on the bins _gathered_bins picks.
+
+# Complex64 values in the scratch of _magnitudes, 1 MiB: the angle products run
+# on as many whole chirps as fit in it, at least one, and the Doppler product on
+# as many range bins as fit, at least the fewest that span _TILE columns.
+_SCRATCH_VALUES = 1 << 17
+
+
+def _magnitudes(shape: tuple[int, int, int, int], range_spectrum) -> RadarCube:
+    """build_radar_cube's magnitudes of a range spectrum of the given shape,
+    (chirp, range, azimuth, elevation), for any number of range bins, seen as
+    (range, azimuth, elevation, doppler). range_spectrum(chirps, out) writes
+    the spectrum of a slice of chirps into out.
+
+    The chirps go in groups through one buffer p of the spectrum's size and a
+    scratch of a few chirps, each step writing the other: the range spectrum
+    into the scratch, the elevation product into p, one transposing copy that
+    moves azimuth last into the scratch, and the azimuth product into p, so p
+    ends holding the chirps in (chirp, range, elevation, azimuth) order. The
+    angle products take one call per chirp, the transformed axis last. The
+    Doppler product then runs over chunks of range bins through the scratch,
+    and its magnitudes are written straight into their place in the Doppler
+    product's own order (doppler, range, elevation, azimuth). Each output
+    entry is a product over one range bin's entries alone, and every chunk but
+    the last spans a multiple of _TILE columns, so a run on some of the range
+    bins gives those bins the values a run on all of them gives, and the same
+    bits on the bins _gathered_bins picks.
     """
-    n_c, n_r, n_a, n_e = p.shape
-    np.matmul(p.reshape(n_c, -1, n_e), _dft_matrix(n_e, False, True).T,
-              out=q.reshape(n_c, -1, n_e))                                          # (C, R, A, E)
-    np.copyto(p.reshape(n_c, n_r, n_e, n_a),
-              q.reshape(n_c, n_r, n_a, n_e).transpose(0, 1, 3, 2))                  # (C, R, E, A)
-    np.matmul(p.reshape(n_c, -1, n_a), _dft_matrix(n_a, False, True).T,
-              out=q.reshape(n_c, -1, n_a))                                          # (C, R, E, A)
-    np.matmul(_dft_matrix(n_c, True, True), q.reshape(n_c, -1), out=p.reshape(n_c, -1))
-
-
-def _magnitudes(p: np.ndarray) -> RadarCube:
-    """|p| of an _angle_doppler result, written in p's own memory order and
-    seen as (range, azimuth, elevation, doppler)."""
-    n_c, n_r, n_a, n_e = p.shape
+    n_c, n_r, n_a, n_e = shape
+    width = n_a * n_e                                   # values per chirp and range bin
+    group = min(n_c, max(1, _SCRATCH_VALUES // (n_r * width)))
+    unit = _TILE // math.gcd(_TILE, width)              # range bins per _TILE columns
+    chunk = min(n_r, max(unit, _SCRATCH_VALUES // (n_c * width) // unit * unit))
+    scratch = np.empty(max(group * n_r, n_c * chunk) * width, dtype=np.complex64)
+    p = np.empty(shape, dtype=np.complex64)
+    for c in range(0, n_c, group):
+        chirps = slice(c, c + group)
+        q = p[chirps]
+        k, s = len(q), scratch[:q.size]
+        range_spectrum(chirps, s.reshape(q.shape))                                  # (C, R, A, E)
+        np.matmul(s.reshape(k, -1, n_e), _dft_matrix(n_e, False, True).T,
+                  out=q.reshape(k, -1, n_e))                                        # (C, R, A, E)
+        np.copyto(s.reshape(k, n_r, n_e, n_a),
+                  q.reshape(k, n_r, n_a, n_e).transpose(0, 1, 3, 2))               # (C, R, E, A)
+        np.matmul(s.reshape(k, -1, n_a), _dft_matrix(n_a, False, True).T,
+                  out=q.reshape(k, -1, n_a))                                        # (C, R, E, A)
     mag = np.empty((n_c, n_r, n_e, n_a), dtype=np.float32)
-    np.abs(p.reshape(mag.shape), out=mag)                                           # (C, R, E, A)
+    angles, out = p.reshape(n_c, -1), mag.reshape(n_c, -1)
+    for r in range(0, n_r, chunk):
+        cols = slice(r * width, min(r + chunk, n_r) * width)
+        d = np.matmul(_dft_matrix(n_c, True, True), angles[:, cols],
+                      out=scratch[:n_c * (cols.stop - cols.start)].reshape(n_c, -1))
+        np.abs(d, out=out[:, cols])                                                 # (C, R, E, A)
     return RadarCube(mag.transpose(1, 3, 2, 0))                                     # (R, A, E, C)
 
 
@@ -190,21 +224,15 @@ def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
 
     Sample and chirp axes are Hanning-windowed; the angle axes are not.
     Doppler and angle axes are center-shifted so zero velocity / boresight
-    land at bin n // 2. The products alternate between two complex buffers the
-    size of the ADC tensor. The magnitudes are written contiguously in the
-    Doppler product's order, (doppler, range, elevation, azimuth), and the
-    cube indexes them through a transposed view of that buffer.
+    land at bin n // 2. The products run in one complex buffer the size of
+    the ADC tensor and a 1 MiB scratch, larger only where one chirp or one
+    _TILE-wide chunk of range bins needs more (_magnitudes).
+    The magnitudes are written contiguously in the Doppler product's order,
+    (doppler, range, elevation, azimuth), and the cube indexes them through a
+    transposed view of that buffer.
     """
     expected = _expected_shape(adc, cfg)
-    # q comes first so that the magnitudes can take its memory once it is freed:
-    # in the other order glibc trimmed and re-faulted about 7 MB of heap per pass
-    # of the benchmark's crowd workload.
-    q = np.empty(expected, dtype=np.complex64)
-    p = np.empty(expected, dtype=np.complex64)
-    _range_spectrum(adc, p)
-    _angle_doppler(p, q)
-    del q
-    return _magnitudes(p)
+    return _magnitudes(expected, lambda chirps, out: _range_spectrum(adc.samples[chirps], out))
 
 
 # Relative slack on the range-bin bound of _cut_range_bins. The rounding of
@@ -214,13 +242,6 @@ def build_radar_cube(adc: AdcCube, cfg: RadarConfig) -> RadarCube:
 # over the three axes, and the float32 rounding of the cut is 6e-8 of it: 1e-3
 # covers both with room.
 BOUND_SLACK = 1e-3
-
-
-# BLAS kernels compute a product in tiles of a few rows and columns, at most 16,
-# and run the rows and columns left over at the end through narrower kernels that
-# may round differently. _gathered_bins keeps every entry of a gathered product in
-# the kind of tile it has in the full build's product.
-_TILE = 16
 
 
 def _gathered_bins(keep: np.ndarray, n_a: int, n_e: int) -> np.ndarray:
@@ -240,11 +261,10 @@ def _gathered_bins(keep: np.ndarray, n_a: int, n_e: int) -> np.ndarray:
 def _bins_magnitudes(y: np.ndarray, bins: np.ndarray) -> RadarCube:
     """build_radar_cube's magnitudes of the given range bins of the range
     spectrum y, (range bin, azimuth, elevation, doppler)."""
-    q = np.empty((y.shape[0], len(bins), *y.shape[2:]), dtype=np.complex64)
-    p = np.take(y, bins, axis=1)
-    _angle_doppler(p, q)
-    del q
-    return _magnitudes(p)
+    # The bins are in range, and mode="clip" takes them into out unbuffered.
+    return _magnitudes((y.shape[0], len(bins), *y.shape[2:]),
+                       lambda chirps, out: np.take(y[chirps], bins, axis=1, out=out,
+                                                   mode="clip"))
 
 
 def _cut_range_bins(adc: AdcCube, cfg: RadarConfig) -> tuple[np.ndarray, RadarCube]:
@@ -266,7 +286,7 @@ def _cut_range_bins(adc: AdcCube, cfg: RadarConfig) -> tuple[np.ndarray, RadarCu
     """
     n_c, n_r, n_a, n_e = _expected_shape(adc, cfg)
     y = np.empty((n_c, n_r, n_a, n_e), dtype=np.complex64)
-    _range_spectrum(adc, y)
+    _range_spectrum(adc.samples, y)
     sums = np.empty((n_c, n_r))
     row = np.empty((n_r, n_a * n_e), dtype=np.float32)
     for c in range(n_c):

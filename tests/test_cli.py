@@ -661,6 +661,22 @@ def _peak_bytes(argv: list[str]) -> int:
         tracemalloc.stop()
 
 
+def test_simulate_memory_peak_on_demo_frames(tmp_path, capsys):
+    """simulate holds one frame's ADC tensor, the noise blocks drawn ahead
+    and one block of render sums: at most 2.5 ADC tensors on 5 demo frames.
+    The second run is gated, so that what the command allocates only on its
+    first call in a process does not count."""
+    scene = json.loads((SCENES / "demo.json").read_text())
+    scene["n_frames"] = 5
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    argv = ["simulate", "--scene", str(tmp_path / "scene.json"), "--out", str(tmp_path / "f")]
+    assert main(argv) == 0
+    _, radar, _ = load_scene(tmp_path / "scene.json")
+    adc_bytes = 8 * (radar.n_chirps * radar.n_samples
+                     * radar.n_azimuth_bins * radar.n_elevation_bins)
+    assert _peak_bytes(argv) <= 2.5 * adc_bytes
+
+
 def test_commands_memory_does_not_grow_with_frames(tmp_path, capsys):
     """Every command holds one frame at a time, so eight times the frames
     stays within 1.5x the peak. The frames are dense (600 points) and the

@@ -19,7 +19,6 @@ from velofusion.sim import (
     Scatterer,
     SceneConfig,
     ground_truth_velocities,
-    noise_block_count,
     noise_blocks,
     simulate_adc,
     synth_flow,
@@ -240,9 +239,12 @@ def test_simulate_adc_is_the_whole_tensor_render_bit_for_bit(name, noise_floor):
 def test_noise_blocks_count_and_size(name):
     scene, cfg = _adc_case(name, 0.1)
     blocks = list(noise_blocks(scene, 1, cfg))
-    assert len(blocks) == noise_block_count(cfg)
+    n_rows, n_cols = cfg.n_chirps * cfg.n_samples, cfg.n_azimuth_bins * cfg.n_elevation_bins
+    assert n_rows * n_cols == math.prod(simulate_adc(scene, 1, cfg).samples.shape)
+    # the fewest blocks of whole rows of at most 1 MiB, for the real parts and then the imaginary
+    assert len(blocks) == 2 * -(-n_rows // ((1 << 20) // (8 * n_cols)))
     assert all(b.dtype == np.float64 and b.nbytes <= 1 << 20 for b in blocks)
-    assert sum(b.size for b in blocks) == 2 * math.prod(simulate_adc(scene, 1, cfg).samples.shape)
+    assert sum(b.size for b in blocks) == 2 * n_rows * n_cols
     assert not list(noise_blocks(replace(scene, noise_floor=0.0), 1, cfg))
 
 
@@ -356,6 +358,21 @@ def test_simulate_adc_memory_does_not_grow_with_scatterers():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1]
+
+
+def test_simulate_adc_memory_peak_on_a_noisy_demo_frame():
+    """With the noise drawn inline, the complex64 output is the one
+    tensor-sized array: the imaginary parts are rendered again in their own
+    pass instead of waiting in a float64 scratch."""
+    scene, cfg = _adc_case("demo", 0.1)
+    simulate_adc(scene, 1, cfg)  # ramps and BLAS warmed up
+    tracemalloc.start()
+    try:
+        adc = simulate_adc(scene, 1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * adc.samples.nbytes
 
 
 def test_synth_lidar_deterministic_and_labeled():
