@@ -85,6 +85,17 @@ class RadarConfig:
         return self.elevation_fov / self.n_elevation_bins
 
 
+_FINITE_BLOCK = 1 << 18  # values per np.isfinite call of _all_finite
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """np.isfinite(values).all() without a mask of the array's size: the
+    values are read in memory order, at most _FINITE_BLOCK at a time."""
+    flat = np.ravel(values, order="K")  # a view unless values is strided
+    return all(np.isfinite(flat[k:k + _FINITE_BLOCK]).all()
+               for k in range(0, flat.size, _FINITE_BLOCK))
+
+
 @dataclass
 class AdcCube:
     """Raw complex ADC samples, indexed (chirp, sample, az antenna, el antenna).
@@ -99,7 +110,7 @@ class AdcCube:
         self.samples = np.ascontiguousarray(self.samples, dtype=np.complex64)
         if self.samples.ndim != 4:
             raise ValueError(f"ADC tensor must have 4 axes, got shape {self.samples.shape}")
-        if not np.isfinite(self.samples.view(np.float32)).all():
+        if not _all_finite(self.samples.view(np.float32)):
             raise ValueError("ADC samples must be finite")
 
 
@@ -119,7 +130,7 @@ class RadarCube:
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float32)
         if self.magnitudes.ndim != 4:
             raise ValueError(f"cube must have 4 axes, got shape {self.magnitudes.shape}")
-        if not np.isfinite(self.magnitudes).all():
+        if not _all_finite(self.magnitudes):
             raise ValueError("cube magnitudes must be finite")
         if len(self.magnitudes) and self.magnitudes.min() < 0:
             raise ValueError("cube magnitudes must be non-negative")

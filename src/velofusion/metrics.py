@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
@@ -24,23 +25,23 @@ _NEIGHBOR_OFFSETS = np.indices((3, 3, 3)).reshape(3, -1).T - 1  # (27, 3), each 
 _PAIR_CHUNK = 1 << 14     # point pairs per batch checked point by point
 
 
-def _grid_cells(pts: np.ndarray, cell: float) -> tuple[np.ndarray, list[int]]:
-    """Integer key of every point's grid cell, with keys of adjacent cells
-    differing by a neighbor offset's key.
+def _grid_cells(cols: list[np.ndarray], cell: float) -> tuple[np.ndarray, list[int]]:
+    """Integer key of every point's grid cell, from its x, y and z coordinate
+    arrays, with keys of adjacent cells differing by a neighbor offset's key.
 
     Per axis, occupied cell coordinates are renumbered so gaps wider than one
     empty cell shrink to exactly one: adjacency is kept and the key space
     stays within (2N + 1)^3, which fits int64 up to a million points.
     """
-    coords = np.floor((pts - pts.min(axis=0)) / cell)
-    dims = []
-    compact = np.empty(coords.shape, dtype=np.int64)
-    for axis in range(3):
-        occupied, inverse = np.unique(coords[:, axis], return_inverse=True)
-        steps = np.minimum(np.diff(occupied), 2).astype(np.int64)
-        compact[:, axis] = np.concatenate([[1], 1 + np.cumsum(steps)])[inverse]
-        dims.append(int(compact[:, axis].max()) + 2)
-    return (compact[:, 0] * dims[1] + compact[:, 1]) * dims[2] + compact[:, 2], dims
+    keys, dims = 0, []
+    for c in cols:
+        coords = np.floor((c - c.min()) / cell)
+        occupied = np.sort(coords)
+        occupied = occupied[np.concatenate([[True], occupied[1:] != occupied[:-1]])]
+        renumbered = np.concatenate([[1], 1 + np.cumsum(np.minimum(np.diff(occupied), 2))])
+        dims.append(int(renumbered[-1]) + 2)
+        keys = keys * dims[-1] + renumbered.astype(np.int64)[np.searchsorted(occupied, coords)]
+    return keys, dims
 
 
 def _length(diffs) -> np.ndarray:
@@ -63,12 +64,11 @@ def _adjacent_cells(cell_keys: np.ndarray, dims: list[int]) -> tuple[np.ndarray,
     return hit // len(offset_keys), slot[hit]
 
 
-def _neighborhoods(
-    pts: np.ndarray, eps: float, min_points: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Neighbor counts within eps (the point itself included), edges that
-    join core points only, and the ordered pairs (i, j, distance) within eps
-    that were checked point by point.
+def _neighborhoods(cols: list[np.ndarray], eps: float, min_points: int) -> np.ndarray:
+    """Every point's cluster root, from the points' contiguous x, y and z
+    coordinate arrays: for a core point the lowest index in its connected
+    component of core points, for a border point the root of its nearest
+    core neighbor (the lowest index on a tie), -1 for noise.
 
     Each pair of adjacent grid cells (A, B), A == B included, is decided by
     its points' bounding boxes where it can be. Rounded subtraction, squaring,
@@ -77,15 +77,27 @@ def _neighborhoods(
     taken with the same formula as the point distance (`_length`). A pair
     whose gap exceeds eps is skipped. A pair whose union diagonal is within
     eps and that holds at least min_points points (|A| when A == B) makes
-    every one of them core, so it only adds |B| to each count of A and links
-    the two cells' first points; each point of such a cell is linked to its
-    cell's first point. All other pairs are checked point by point.
+    every one of them core and neighbors of each other, so it only adds |B|
+    to each count of A and joins the two cells' trees. The other pairs are
+    checked point by point, but only between the points of A whose gap to
+    B's box is within eps and the points of B whose gap to A's box is: by the
+    same monotonicity, no other point has a neighbor in the other cell.
+
+    The box tests and the checked point pairs come in fixed batches, the
+    pairs twice. The first pass counts neighbors and keeps one bit per pair,
+    whether it is within eps; the second hooks the pairs between core points
+    into a min-label forest and keeps each border point's nearest core. No
+    batch's pairs outlive it, so memory grows with the points and the
+    checked pairs' bits, not with the pairs within eps.
     """
-    span = float(np.ptp(pts, axis=0).max())
-    keys, dims = _grid_cells(pts, eps * (1 + _CELL_MARGIN) + 16 * np.finfo(float).eps * span)
+    n = len(cols[0])
+    span = max(float(c.max() - c.min()) for c in cols)
+    keys, dims = _grid_cells(cols, eps * (1 + _CELL_MARGIN) + 16 * np.finfo(float).eps * span)
     order = np.argsort(keys, kind="stable")
-    cell_keys, starts, sizes = np.unique(keys[order], return_index=True, return_counts=True)
-    coords = [np.ascontiguousarray(c) for c in pts[order].T]
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    cell_keys, sizes = keys[starts], np.diff(np.append(starts, n))
+    coords = [c[order] for c in cols]
     lo = [np.minimum.reduceat(c, starts) for c in coords]
     hi = [np.maximum.reduceat(c, starts) for c in coords]
 
@@ -94,56 +106,102 @@ def _neighborhoods(
     gap = _length(np.maximum(np.maximum(l[b] - h[a], l[a] - h[b]), 0.0) for l, h in zip(lo, hi))
     held = np.where(a == b, sizes[a], sizes[a] + sizes[b])
     dense = (diagonal <= eps) & (held >= min_points)
-    check = ~dense & (gap <= eps)
+    check = ~dense & (gap <= eps) & (a <= b)  # (B, A) is checked with (A, B)
 
-    # Decided pairs: counts per cell, star edges inside each dense cell and
-    # one edge per pair between the cells' first points.
+    # Decided pairs. Counts, cells and batches number the points in key
+    # order, the forest's nodes are the original indices. Each cell of a
+    # dense pair starts as one tree under its lowest index.
     cell_of = np.repeat(np.arange(len(cell_keys)), sizes)
-    count = np.zeros(len(pts), dtype=np.int64)
-    count[order] = np.bincount(a[dense], weights=sizes[b[dense]],
-                               minlength=len(cell_keys)).astype(np.int64)[cell_of]
-    starred = np.flatnonzero(np.isin(cell_of, a[dense]))
-    link_i = np.concatenate([order[starred], order[starts[cell_of[starred]]],
-                             order[starts[a[dense]]]])
-    link_j = np.concatenate([order[starts[cell_of[starred]]], order[starred],
-                             order[starts[b[dense]]]])
+    count = np.bincount(a[dense], weights=sizes[b[dense]],
+                        minlength=len(cell_keys)).astype(np.int64)[cell_of]
+    lowest = np.minimum.reduceat(order, starts)
+    in_dense = np.zeros(len(cell_keys), dtype=bool)
+    in_dense[a[dense]] = True
+    starred = in_dense[cell_of]
+    root = np.arange(n)
+    root[order[starred]] = lowest[cell_of[starred]]
+    root = _hook(root, lowest[a[dense]], lowest[b[dense]])
 
-    # Undecided pairs, point by point in batches of _PAIR_CHUNK pairs. The
-    # point pairs are numbered k in cell-pair order, row-major within each
-    # cell pair; pair k belongs to the first cell pair whose end exceeds k.
+    # Undecided pairs, between the points of each cell that can reach the
+    # other cell's box: first those of A for every pair (A, B), then those of
+    # B. The box tests and the point pairs both run in batches of numbered
+    # items, the point pairs row-major within each cell pair; item k belongs
+    # to the first cell (pair) whose end exceeds k.
     ca, cb = a[check], b[check]
-    n_pairs = sizes[ca] * sizes[cb]
-    ends = np.cumsum(n_pairs)
-    begins = ends - n_pairs
-    total = int(ends[-1]) if len(ends) else 0
-    firsts, seconds, dists = [], [], []
-    for k0 in range(0, max(total, 1), _PAIR_CHUNK):  # one batch, empty, when total is 0
-        k = np.arange(k0, min(k0 + _PAIR_CHUNK, total))
-        p = np.searchsorted(ends, k, side="right")
-        row, col = np.divmod(k - begins[p], sizes[cb[p]])
-        i = starts[ca[p]] + row
-        j = starts[cb[p]] + col
-        dist = _length(c[i] - c[j] for c in coords)
-        near = dist <= eps
-        firsts.append(order[i[near]])
-        seconds.append(order[j[near]])
-        dists.append(dist[near])
-    i, j = np.concatenate(firsts), np.concatenate(seconds)
-    count += np.bincount(i, minlength=len(pts))
-    return count, link_i, link_j, i, j, np.concatenate(dists)
+    total = 0
+    if len(ca):
+        src, dst = np.concatenate([ca, cb]), np.concatenate([cb, ca])
+        tested = np.cumsum(sizes[src])
+        reach, n_reach = [], np.zeros(len(src), dtype=np.int64)
+        for k0 in range(0, int(tested[-1]), _PAIR_CHUNK):
+            k = np.arange(k0, min(k0 + _PAIR_CHUNK, int(tested[-1])))
+            p = np.searchsorted(tested, k, side="right")
+            s = starts[src[p]] + k - tested[p] + sizes[src[p]]
+            d = dst[p]
+            reaches = _length(np.maximum(np.maximum(l[d] - c[s], c[s] - h[d]), 0.0)
+                              for c, l, h in zip(coords, lo, hi)) <= eps
+            reach.append(s[reaches])
+            n_reach += np.bincount(p[reaches], minlength=len(src))
+        reach = np.concatenate(reach)
+        first_at, second_at = np.split(np.cumsum(n_reach) - n_reach, 2)
+        n_first, n_second = np.split(n_reach, 2)
+        ends = np.cumsum(n_first * n_second)
+        begins = ends - n_first * n_second
+        total = int(ends[-1])
+
+    def batches():
+        for k0 in range(0, total, _PAIR_CHUNK):
+            k = np.arange(k0, min(k0 + _PAIR_CHUNK, total))
+            p = np.searchsorted(ends, k, side="right")
+            row, col = np.divmod(k - begins[p], n_second[p])
+            yield reach[first_at[p] + row], reach[second_at[p] + col], ca[p] != cb[p]
+
+    # A pair inside one cell is listed in both orders, a pair across two once.
+    near_bits = []
+    for i, j, across in batches():
+        near = _length(c[i] - c[j] for c in coords) <= eps
+        count += np.bincount(i[near], minlength=n) + np.bincount(j[near & across], minlength=n)
+        near_bits.append(np.packbits(near))
+
+    core = count >= min_points
+    nearest = np.full(n, n)  # of each border point, by original index; n for none
+    nearest_dist = np.full(n, np.inf)
+    for (i, j, _), bits in zip(batches(), near_bits):
+        near = np.unpackbits(bits, count=len(i)).view(bool)
+        i, j = i[near], j[near]
+        both = core[i] & core[j]
+        root = _hook(root, order[i[both]], order[j[both]])
+        i, j = np.concatenate([i, j]), np.concatenate([j, i])  # a repeat changes no minimum
+        border = ~core[i] & core[j]
+        if border.any():
+            dist = _length(c[i[border]] - c[j[border]] for c in coords)
+            bi, bj = order[i[border]], order[j[border]]
+            pick = np.lexsort((bj, dist, bi))
+            pick = pick[np.concatenate([[True], bi[pick[1:]] != bi[pick[:-1]]])]
+            bi, bj, dist = bi[pick], bj[pick], dist[pick]
+            closer = (dist < nearest_dist[bi]) | ((dist == nearest_dist[bi]) & (bj < nearest[bi]))
+            nearest[bi[closer]] = bj[closer]
+            nearest_dist[bi[closer]] = dist[closer]
+
+    out = np.full(n, -1, dtype=np.int64)
+    out[order[core]] = root[order[core]]
+    border = nearest < n
+    out[border] = root[nearest[border]]
+    return out
 
 
-def _min_label_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Smallest node index of every node's connected component, for edges
-    given in both directions: min-label hooking plus pointer jumping."""
-    label = np.arange(n)
+def _hook(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The flat min-label forest `label` with the trees that the edges (a, b)
+    join merged: every node's label is the smallest node of its tree. Roots
+    are hooked under the smaller root, then pointers jump until flat."""
     while True:
         la, lb = label[a], label[b]
         differ = la != lb
         if not differ.any():
             return label
         a, b = a[differ], b[differ]
-        np.minimum.at(label, la[differ], lb[differ])
+        la, lb = la[differ], lb[differ]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
         while True:
             jumped = label[label]
             if np.array_equal(jumped, label):
@@ -160,10 +218,12 @@ def cluster_points(points: np.ndarray, eps: float, min_points: int) -> np.ndarra
     on a tie), everything else is noise (-1), as are points with a non-finite
     coordinate. Labels are numbered by first point appearance; apart from
     border points equidistant from two clusters' cores, membership does not
-    depend on point order. Neighbors come from a grid hash whose adjacent
-    cell pairs are decided by their points' bounding boxes where they can be
-    (`_neighborhoods`); the other pairs' points are checked in fixed batches,
-    so memory grows with the point pairs within eps, not with N^2.
+    depend on point order. `_neighborhoods` gives every finite point its
+    cluster root (the lowest index of its core component, -1 for noise) from
+    a grid hash whose adjacent cell pairs are decided by their points'
+    bounding boxes where they can be. Of the other pairs, only the points
+    that can reach the other cell are checked, in fixed batches, so memory
+    grows with N and one bit per checked pair, not with the pairs within eps.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -173,37 +233,20 @@ def cluster_points(points: np.ndarray, eps: float, min_points: int) -> np.ndarra
     if n == 0:
         return np.zeros(0, dtype=np.int64)
 
-    finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
-    if len(finite) == 0:
-        return np.full(n, -1, dtype=np.int64)
-    count, link_i, link_j, i, j, dist = _neighborhoods(pts[finite], eps, min_points)
-    core = np.zeros(n, dtype=bool)
-    core[finite] = count >= min_points
-    if len(finite) < n:
-        link_i, link_j, i, j = finite[link_i], finite[link_j], finite[i], finite[j]
+    finite = np.isfinite(pts)
+    finite = finite[:, 0] & finite[:, 1] & finite[:, 2]
     labels = np.full(n, -1, dtype=np.int64)
-    both = core[i] & core[j]
-    root = _min_label_components(n, np.concatenate([link_i, i[both]]),
-                                 np.concatenate([link_j, j[both]]))
-    labels[core] = root[core]
-    # Border points: the nearest core neighbor, lowest index on a tie.
-    border = ~core[i] & core[j]
-    bi, bj = i[border], j[border]
-    pick = np.lexsort((bj, dist[border], bi))
-    bi, bj = bi[pick], bj[pick]
-    first = np.ones(len(bi), dtype=bool)
-    first[1:] = bi[1:] != bi[:-1]
-    labels[bi[first]] = root[bj[first]]
+    if finite.any():
+        labels[finite] = _neighborhoods([c[finite] for c in pts.T], eps, min_points)
 
-    # Renumber by first appearance.
-    out = np.full(n, -1, dtype=np.int64)
+    # Renumber by first appearance; every root is a point index.
     members = np.flatnonzero(labels >= 0)
-    roots, first_seen, inverse = np.unique(labels[members], return_index=True,
-                                           return_inverse=True)
-    rank = np.empty(len(roots), dtype=np.int64)
-    rank[np.argsort(first_seen)] = np.arange(len(roots))
-    out[members] = rank[inverse]
-    return out
+    first_seen = np.full(n, n)
+    np.minimum.at(first_seen, labels[members], members)
+    roots = np.flatnonzero(first_seen < n)
+    rank = np.full(n + 1, -1, dtype=np.int64)  # noise's label -1 reads rank[n]
+    rank[roots[np.argsort(first_seen[roots])]] = np.arange(len(roots))
+    return rank[labels]
 
 
 @dataclass
@@ -323,9 +366,9 @@ def _cluster_frames(frame: EvalFrame, labels: np.ndarray) -> list[TrackFrame]:
     ok = member & (frame.status == PointStatus.OK)
 
     def sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-        bins = 3 * labels[mask, None] + np.arange(3)
-        return np.bincount(bins.ravel(), weights=values[mask].ravel(),
-                           minlength=3 * n_clusters).reshape(n_clusters, 3)
+        bins = np.where(mask, labels + 1, 0)  # bin 0 takes the unmasked points, dropped
+        return np.stack([np.bincount(bins, weights=v, minlength=n_clusters + 1)[1:]
+                         for v in values.T], axis=1)
 
     n_points = np.bincount(labels[member], minlength=n_clusters)
     n_ok = np.bincount(labels[ok], minlength=n_clusters)
@@ -367,8 +410,10 @@ def build_tracks(frames: Iterable[EvalFrame], eps: float, min_points: int) -> li
         # Greedy nearest-centroid association against last frame's tracks.
         pairs = []
         for tid, track in active.items():
+            last_centroid = track.frames[-1].centroid
             for cid, obs in enumerate(observations):
-                d = float(np.linalg.norm(obs.centroid - track.frames[-1].centroid))
+                delta = obs.centroid - last_centroid
+                d = math.sqrt(delta.dot(delta))  # np.linalg.norm's formula for a vector
                 if d <= ASSOCIATION_GATE:
                     pairs.append((d, tid, cid))
         pairs.sort()

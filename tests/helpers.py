@@ -6,6 +6,7 @@ explicit matrix products, searches are plain loops. Slow but unambiguous.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -249,6 +250,24 @@ def oracle_estimate_frame(cloud, vc, flow, camera, pair, window):
         rhs = np.array([(q[0] - u_p * q[2]) / pair.dt, (q[1] - v_p * q[2]) / pair.dt, r_dot])
         velocities[i] = camera.rotation.T @ np.linalg.solve(m, rhs)
     return status, velocities
+
+
+def crowd_scene(seed: int) -> SceneConfig:
+    """The benchmark's crowd layout (perfbench/workloads.py): ten movers 5 deg
+    apart on three range rings, 300 LiDAR points each, three frames."""
+    scatterers = []
+    for i in range(10):
+        az = math.radians(-22.5 + 5.0 * i)
+        rng_m = (2.4, 3.0, 3.6)[i % 3]
+        speed = 0.3 + 0.08 * i
+        heading = az + math.radians((0.0, 90.0, 45.0, 135.0, 180.0)[i % 5])
+        scatterers.append(sim.Scatterer(
+            (rng_m * math.cos(az), rng_m * math.sin(az), 0.0),
+            (speed * math.cos(heading), speed * math.sin(heading), 0.0),
+        ))
+    return SceneConfig(scatterers=tuple(scatterers), frame_interval=0.1, n_frames=3,
+                       noise_floor=0.1, lidar_points_per_scatterer=300,
+                       lidar_jitter_sigma=0.02, seed=seed)
 
 
 def oracle_cluster_points(points: np.ndarray, eps: float, min_points: int) -> np.ndarray:

@@ -86,6 +86,49 @@ def test_radar_cube_keeps_a_transposed_view_and_checks_it(bad, message):
         RadarCube(view)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["real", "imaginary", "last block"])
+def test_adc_cube_finds_non_finite_values_in_every_block(bad, where):
+    # 3 x 2^17 complex samples are 1.5 finiteness blocks of float32 values
+    samples = np.ones((3, 256, 32, 16), dtype=np.complex64)
+    assert samples.size * 2 > cube_module._FINITE_BLOCK
+    flat = samples.reshape(-1)
+    if where == "real":
+        flat[5] = complex(bad, 1.0)
+    elif where == "imaginary":
+        flat[cube_module._FINITE_BLOCK // 2 + 3] = complex(1.0, bad)
+    else:
+        flat[-1] = complex(1.0, bad)
+    with pytest.raises(ValueError, match="ADC samples must be finite"):
+        AdcCube(samples)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_radar_cube_finds_non_finite_values_in_the_last_block(bad):
+    buf = np.ones((3, 128, 8, 128), dtype=np.float32)  # 1.5 finiteness blocks
+    assert cube_module._FINITE_BLOCK < buf.size < 2 * cube_module._FINITE_BLOCK
+    RadarCube(buf.transpose(1, 3, 2, 0))
+    buf[-1, -1, -1, -1] = bad
+    with pytest.raises(ValueError, match="cube magnitudes must be finite"):
+        RadarCube(buf.transpose(1, 3, 2, 0))
+    with pytest.raises(ValueError, match="cube magnitudes must be finite"):
+        RadarCube(buf[:, 1::2])  # strided: read from a copy
+
+
+def test_finiteness_checks_take_a_bounded_mask():
+    cfg = RadarConfig()
+    shape = (cfg.n_chirps, cfg.n_samples, cfg.n_azimuth_bins, cfg.n_elevation_bins)
+    samples = np.ones(shape, dtype=np.complex64)
+    mag = np.ones((cfg.n_range_bins, cfg.n_azimuth_bins, cfg.n_elevation_bins, cfg.n_chirps),
+                  dtype=np.float32)
+    for make, values in ((AdcCube, samples), (RadarCube, mag)):
+        tracemalloc.start()
+        make(values)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= cube_module._FINITE_BLOCK * 1.25, make.__name__
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RadarConfig(n_samples=1)

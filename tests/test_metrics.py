@@ -1,10 +1,14 @@
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from velofusion import metrics, sim
+from velofusion.io import load_scene
 from velofusion.metrics import (
     EvalFrame,
     MetricsReport,
@@ -20,7 +24,9 @@ from velofusion.metrics import (
 )
 from velofusion.types import PointStatus
 
-from helpers import oracle_build_tracks, oracle_cluster_points, single_frame_tracks
+from helpers import crowd_scene, oracle_build_tracks, oracle_cluster_points, single_frame_tracks
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def _blob(center, n, rng, sigma=0.05):
@@ -191,6 +197,36 @@ def test_cluster_border_ties_go_to_lowest_core_index():
     assert labels[4] == labels[0] != labels[2]
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_cluster_border_ties_across_pair_batches(chunk):
+    # the two equidistant cores of border point 4 reach it in different
+    # batches of checked pairs, so the running nearest core decides the tie
+    pts = np.array([
+        [-0.5, 0.0, 0.0], [-0.75, 0.0, 0.0], [0.5, 0.0, 0.0], [0.75, 0.0, 0.0],
+        [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+    ])
+    for perm in ([0, 1, 2, 3, 4, 5, 6], [2, 3, 0, 1, 4, 6, 5], [4, 6, 5, 3, 2, 1, 0]):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_PAIR_CHUNK", chunk)
+            labels = cluster_points(pts[perm], eps=0.5, min_points=4)
+        np.testing.assert_array_equal(labels, oracle_cluster_points(pts[perm], 0.5, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["tight", "exact", "small", "duplicates", "huge", "nan"]),
+    min_points=st.integers(1, 12),
+    chunk=st.sampled_from([1, 7, 64]),
+)
+def test_cluster_labels_do_not_depend_on_the_pair_batch(seed, layout, min_points, chunk):
+    pts, eps = _cell_pair_cloud(np.random.default_rng(seed), layout, min_points)
+    want = cluster_points(pts, eps, min_points)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_PAIR_CHUNK", chunk)
+        np.testing.assert_array_equal(cluster_points(pts, eps, min_points), want)
+
+
 def test_cluster_non_finite_points_are_noise():
     pts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [np.nan, 0.0, 0.0],
                     [0.0, 0.1, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0]])
@@ -244,6 +280,140 @@ def test_cluster_crowd_sized_blobs_in_little_memory():
     for k, blob in enumerate(blobs):
         np.testing.assert_array_equal(labels[300 * k:300 * (k + 1)],
                                       oracle_cluster_points(blob, eps, min_points) + k)
+
+
+_DIRECTIONS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (0, 1, 1), (1, 0, -1),
+               (1, 1, 1), (1, -1, 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 300), min_size=2, max_size=3),
+    min_points=st.integers(1, 12),
+    gap=st.floats(0.7, 1.5),
+    direction=st.sampled_from(_DIRECTIONS),
+    sigma=st.floats(0.0, 0.1),
+    shift=st.floats(-0.5, 0.5),
+    offset=st.sampled_from([0.0, 1e6, -1e6]),
+)
+def test_cluster_tight_blobs_about_eps_apart_match_dense_oracle(
+        seed, sizes, min_points, gap, direction, sigma, shift, offset):
+    # Blobs in adjacent cells whose boxes are nearer than eps while their
+    # union is wider: the pairs checked point by point, from the points of
+    # either blob that can reach the other's box. A lone anchor point 4 eps
+    # below sets the grid origin, so the blobs' middle sits on a cell edge on
+    # every axis, moved by shift eps along the chain.
+    rng = np.random.default_rng(seed)
+    eps = 0.3
+    step = gap * eps * np.asarray(direction) / np.linalg.norm(direction)
+    anchor = np.full(3, offset)
+    middle = anchor + 4 * eps * (1 + 1e-9) + shift * step
+    offsets = np.arange(len(sizes)) - (len(sizes) - 1) / 2
+    centers = middle + offsets[:, None] * step
+    pts = np.vstack([anchor[None]] + [
+        c + sigma * eps * rng.standard_normal((n, 3)) for c, n in zip(centers, sizes)])
+    pts = pts[rng.permutation(len(pts))]
+    np.testing.assert_array_equal(cluster_points(pts, eps, min_points),
+                                  oracle_cluster_points(pts, eps, min_points))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+    min_points=st.integers(1, 12),
+    layout=st.sampled_from(["axis", "diagonal"]),
+    offset=st.sampled_from([0.0, 1e6, -1e6]),
+)
+def test_cluster_boxes_exactly_eps_apart_match_dense_oracle(seed, sizes, min_points, layout,
+                                                            offset):
+    # Binary-exact points on the corners of two 1/16 m boxes whose gap is
+    # exactly eps, along an axis or as a 3-4-5 diagonal: the facing corners
+    # are exactly eps apart, so a point pruned at a gap of eps would drop a
+    # neighbor.
+    rng = np.random.default_rng(seed)
+    eps, gap = {"axis": (0.25, np.array([0.25, 0.0, 0.0])),
+                "diagonal": (0.3125, np.array([0.1875, 0.25, 0.0]))}[layout]
+    side = 1 / 16
+    first = rng.integers(0, 2, (sizes[0], 3)) * side
+    second = rng.integers(0, 2, (sizes[1], 3)) * side + np.where(gap > 0, side + gap, 0.0)
+    pts = offset + np.vstack([first, second])
+    pts = pts[rng.permutation(len(pts))]
+    np.testing.assert_array_equal(cluster_points(pts, eps, min_points),
+                                  oracle_cluster_points(pts, eps, min_points))
+
+
+def _crowd_frame(seed: int):
+    return sim.synth_lidar(crowd_scene(seed), 2)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 507])
+def test_cluster_crowd_neighbours_match_dense_oracle(seed):
+    # Frame 2 of the benchmark's crowd layout, where movers 7 and 8 sit in
+    # adjacent grid cells. Movers whose boxes are further than eps apart
+    # cluster apart, so each group of nearer movers is checked against the
+    # dense oracle on its own.
+    eps, min_points = 0.3, 5
+    cloud = _crowd_frame(seed)
+    movers = [cloud.positions[cloud.labels == m] for m in range(10)]
+    assert np.array_equal(cloud.labels, np.sort(cloud.labels))
+    box_gap = np.array([[np.linalg.norm(np.maximum(np.maximum(p.min(0) - q.max(0),
+                                                              q.min(0) - p.max(0)), 0.0))
+                         for q in movers] for p in movers])
+    groups = []
+    for m in range(10):
+        if groups and (box_gap[m, groups[-1]] <= 1.01 * eps).any():
+            groups[-1].append(m)
+        else:
+            groups.append([m])
+    assert all((box_gap[np.ix_(g, h)] > 1.01 * eps).all()
+               for g in groups for h in groups if g is not h)
+    assert [7, 8] in groups
+    labels = cluster_points(cloud.positions, eps, min_points)
+    next_label = 0
+    for group in groups:
+        member = np.isin(cloud.labels, group)
+        want = oracle_cluster_points(cloud.positions[member], eps, min_points)
+        want[want >= 0] += next_label
+        next_label = max(next_label, int(want.max()) + 1)
+        np.testing.assert_array_equal(labels[member], want)
+    joined = len(set(labels[cloud.labels == 7]) | set(labels[cloud.labels == 8])) == 1
+    # Seed 507 is a known defect of the crowd layout, not of the clustering:
+    # jittered points of movers 7 and 8 come closer than eps, so the two
+    # movers are one cluster.
+    assert joined == (seed == 507)
+
+
+def test_cluster_checks_few_point_pairs_on_crowd_neighbours(monkeypatch):
+    # Of movers 7 and 8, only the points that can reach the other mover's
+    # cell are checked: every difference array that `_length` is given,
+    # summed (the all-pairs rule between the two cells gives it 225k values).
+    given = []
+    length = metrics._length
+
+    def counting(diffs):
+        diffs = list(diffs)
+        given.extend(np.size(d) for d in diffs)
+        return length(diffs)
+
+    monkeypatch.setattr(metrics, "_length", counting)
+    cluster_points(_crowd_frame(3).positions, 0.3, 5)
+    assert 0 < sum(given) <= 3000
+
+
+def test_cluster_crowded_tiny_frame_in_little_memory():
+    # tiny.json's two movers share a grid cell from frame 15 on: 640k point
+    # pairs within eps, which are counted and hooked batch by batch.
+    scene, _, _ = load_scene(SCENES / "tiny.json")
+    scene = replace(scene, lidar_points_per_scatterer=400, n_frames=22)
+    pts = sim.synth_lidar(scene, 21).positions
+    tracemalloc.start()
+    labels = cluster_points(pts, 0.3, 5)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 4e6
+    assert list(np.unique(labels)) == [0]
 
 
 def test_ave_examples():
@@ -547,7 +717,7 @@ def test_build_tracks_matches_per_cluster_oracle(seed, n_frames, n_objects, poin
         n = len(pos)
         ok = rng.random(n) < ok_fraction
         status = np.where(ok, PointStatus.OK, rng.integers(1, 5, n)).astype(np.uint8)
-        velocities = np.where(ok[:, None], rng.standard_normal((n, 3)), 0.0)
+        velocities = rng.standard_normal((n, 3))  # the mean must skip the non-OK ones
         gt = rng.standard_normal((n, 3)) if rng.random() < 0.5 else None
         index = sum(steps[:f + 1])
         frames.append(EvalFrame(index, 0.1 * index, pos, velocities, status, gt))
